@@ -69,14 +69,10 @@ def heis_reduce(x: HeisElt, N: int) -> FiniteHeisElt:
     if N % 2 or N < 2:
         raise ValueError("N must be even and >= 2")
     p, q, k = x
-    while p >= N:
-        p, k = p - N, k - N * q
-    while p < 0:
-        p, k = p + N, k + N * q
-    while q >= N:
-        q, k = q - N, k + N * p
-    while q < 0:
-        q, k = q + N, k - N * p
+    dp, p = divmod(p, N)
+    k -= N * q * dp
+    dq, q = divmod(q, N)
+    k += N * p * dq
     return FiniteHeisElt(N, p, q, k % (2 * N))
 
 

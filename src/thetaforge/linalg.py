@@ -1,42 +1,135 @@
 """Small exact linear algebra kernel.
 
-Matrices are plain lists of lists whose entries support +, -, *, /, ==
-and truth testing (CycScalar and Fraction both qualify).  Everything here
-is exact; nothing ever rounds.
+Matrices are plain lists of lists.  ``mat_mul`` and ``mat_vec`` take
+CycScalar entries only and multiply by packed exact dot products; the
+other routines need entries that support +, -, *, /, == and truth
+testing.  Everything here is exact; nothing ever rounds.
 """
 from __future__ import annotations
 
+from math import lcm
+
+from .scalar import CycScalar, euler_phi
+
+
+def _pack_prep(vectors, r):
+    """Common-denominator form of each vector of CycScalar entries.
+
+    Returns ([(den, [(num, scale) | None, ...]), ...], bits): entry x of a
+    vector equals num * scale / den, den is the lcm of the vector's
+    denominators, None marks a zero entry, and every integer
+    coefficient of num * scale is below 2**bits in absolute value.
+    """
+    out = []
+    bits = 0
+    for vec in vectors:
+        dens = []
+        for x in vec:
+            if type(x) is not CycScalar:
+                raise TypeError(f"mat_mul needs CycScalar entries, got {type(x).__name__}")
+            if x.r != r:
+                raise ValueError(f"mixed cyclotomic orders r={r} and r={x.r}")
+            dens.append(x.den)
+        den = lcm(*dens)
+        entries = []
+        for x in vec:
+            num = x.num
+            hi, lo = max(num), min(num)
+            if not hi and not lo:
+                entries.append(None)
+                continue
+            scale = den // x.den
+            b = (max(hi, -lo) * scale).bit_length()
+            if b > bits:
+                bits = b
+            entries.append((num, scale))
+        out.append((den, entries))
+    return out, bits
+
+
+def _pack(entries, w):
+    """Each (num, scale) as the integer scale * sum(num[e] * 2**(w*e)); None as 0."""
+    out = []
+    for entry in entries:
+        if entry is None:
+            out.append(0)
+            continue
+        num, scale = entry
+        p = 0
+        for c in reversed(num):
+            p = (p << w) + c
+        out.append(p * scale)
+    return out
+
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """Exact product of an n x k and a k x m matrix of CycScalar entries.
+
+    Each row of a and each column of b is brought to one common
+    denominator, and every entry's integer coefficient vector c is packed
+    into the single integer sum(c[e] * 2**(w*e)) (Kronecker
+    substitution).  One product entry is then k integer multiply-adds,
+    one signed unpack of its 2*phi - 1 slots, one reduction modulo
+    Phi_{4r} and one normalisation, where phi = euler_phi(4r).
+
+    Packing is exact because no slot overflows: a slot of the packed dot
+    product holds sum_s sum_{i+j=e} a_s[i] * b_s[j], at most k * phi
+    terms, so its absolute value is below k * phi * 2**bits_a * 2**bits_b
+    when every packed coefficient of a (of b) is below 2**bits_a
+    (2**bits_b).  The slot width w = bits_a + bits_b +
+    bit_length(k * phi) + 1 keeps it below 2**(w-1), which leaves room
+    for the sign.  Zero entries pack to 0 and are skipped.
+
+    Raises TypeError for an entry that is not a CycScalar, ValueError for
+    mixed cyclotomic orders or mismatched shapes.
+    """
+    k = len(b)
+    if not a or not k:
+        raise ValueError("mat_mul needs non-empty operands")
+    m = len(b[0])
+    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
+        raise ValueError("mat_mul shape mismatch")
+    first = a[0][0]
+    if type(first) is not CycScalar:
+        raise TypeError(f"mat_mul needs CycScalar entries, got {type(first).__name__}")
+    r = first.r
+    phi = euler_phi(4 * r)
+    rows, bits_a = _pack_prep(a, r)
+    cols, bits_b = _pack_prep(list(zip(*b)), r)
+    w = bits_a + bits_b + (k * phi).bit_length() + 1
+    slots = 2 * phi - 1
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = 0
+    for _ in range(slots):
+        bias = (bias << w) + half
+    shifts = range(0, w * slots, w)
+    packed_cols = [(den, _pack(entries, w)) for den, entries in cols]
+    zero = CycScalar.zero(r)
     out = []
-    for i in range(n):
-        row_a = a[i]
+    for row_den, row_entries in rows:
+        row_packed = [(s, p) for s, p in enumerate(_pack(row_entries, w)) if p]
         row = []
-        for j in range(m):
-            acc = None
-            for s in range(k):
-                x = row_a[s]
-                if not x:
-                    continue
-                term = x * b[s][j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = row_a[0] * 0
-            row.append(acc)
+        for col_den, col_packed in packed_cols:
+            acc = 0
+            for s, p in row_packed:
+                q = col_packed[s]
+                if q:
+                    acc += p * q
+            if not acc:
+                row.append(zero)
+                continue
+            acc += bias
+            row.append(
+                CycScalar(r, [((acc >> sh) & mask) - half for sh in shifts], row_den * col_den)
+            )
         out.append(row)
     return out
 
 
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
+    """a times the column vector v, as a list; CycScalar entries only."""
+    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def mat_add(a, b):
@@ -62,10 +155,6 @@ def mat_is_zero(a):
 def mat_identity(n, one):
     zero = one * 0
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def mat_inverse(a):
@@ -177,9 +266,3 @@ class RowSpan:
 def flatten(mat):
     return [x for row in mat for x in row]
 
-
-def rank_of_matrices(mats):
-    span = RowSpan()
-    for m in mats:
-        span.add(flatten(m))
-    return span.rank

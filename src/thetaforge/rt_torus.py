@@ -34,6 +34,7 @@ from .scalar import (
     LaurentPoly,
     cheb_s,
     cheb_t,
+    index_fold,
     qint,
     t_power,
 )
@@ -156,21 +157,6 @@ def pts_mul(x: TorusSkein, y: TorusSkein) -> TorusSkein:
 
 
 # -- the solid-torus module ---------------------------------------------------
-
-def index_fold(j: int, r: int):
-    """(sign, index) with V^j = sign * V^index, index in [1, r-1].
-
-    V^r = 0, V^{j+2r} = V^j, V^{r+j} = -V^{r-j} (hence V^{-j} = -V^j).
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    m = j % (2 * r)
-    if m % r == 0:
-        return 0, None
-    if m < r:
-        return 1, m
-    return -1, 2 * r - m
-
 
 @dataclass(frozen=True)
 class SolidTorusVector:

@@ -86,10 +86,13 @@ def euler_phi(m: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _reduction_data(m: int):
-    """(degree, tail) with x^deg = sum(tail[i] x^i) modulo Phi_m."""
+    """(degree, tail) with x^deg = sum(tc x^j for j, tc in tail) modulo Phi_m.
+
+    tail lists only the nonzero terms (j, tc).
+    """
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
-    return deg, tuple(-c for c in phi[:-1])
+    return deg, tuple((j, -c) for j, c in enumerate(phi[:-1]) if c)
 
 
 def _reduce_mod_cyclotomic(vec, m):
@@ -100,9 +103,8 @@ def _reduce_mod_cyclotomic(vec, m):
         if c:
             vec[i] = 0
             base = i - deg
-            for j, tc in enumerate(tail):
-                if tc:
-                    vec[base + j] += c * tc
+            for j, tc in tail:
+                vec[base + j] += c * tc
     del vec[deg:]
     while len(vec) < deg:
         vec.append(0)
@@ -157,7 +159,7 @@ class CycScalar:
             vec = [-c for c in vec]
         elif den == 0:
             raise ZeroDivisionError("zero denominator")
-        g = gcd(_content(vec), den)
+        g = gcd(_content(vec), den) if den > 1 else 1
         if g > 1:
             vec = [c // g for c in vec]
             den //= g
@@ -433,23 +435,48 @@ def t_power(r: int, e: int) -> CycScalar:
     return CycScalar.root_power(r, e)
 
 
+def index_fold(j: int, r: int):
+    """(sign, index) with V^j = sign * V^index, index in [1, r-1].
+
+    V^r = 0, V^{j+2r} = V^j, V^{r+j} = -V^{r-j} (hence V^{-j} = -V^j).
+    The quantized integers obey the same rule: [j] = sign * [index].
+    """
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    m = j % (2 * r)
+    if m % r == 0:
+        return 0, None
+    if m < r:
+        return 1, m
+    return -1, 2 * r - m
+
+
+@functools.lru_cache(maxsize=None)
+def _qint_table(r: int):
+    """([0], [1], ..., [r-1]) by [n+1] = [n-1] + t^{2n} + t^{-2n}."""
+    table = [CycScalar.zero(r), CycScalar.one(r)]
+    for n in range(1, r - 1):
+        table.append(table[n - 1] + t_power(r, 2 * n) + t_power(r, -2 * n))
+    return tuple(table)
+
+
 def qint(n: int, r: int) -> CycScalar:
     """The quantized integer [n] = (t^{2n} - t^{-2n}) / (t^2 - t^{-2}).
 
-    For n >= 1 this equals t^{2(n-1)} + t^{2(n-3)} + ... + t^{-2(n-1)},
-    which is how it is computed here (no division needed); [0] = 0 and
-    [-n] = -[n].
+    At t = zeta_{4r}, t^{4r} = 1 and t^{2r} = -1 give the fold identities
+    [n + 2r] = [n], [r] = 0 and [r + j] = -[r - j] (so [-n] = -[n]);
+    index_fold applies them, and the result is looked up in a per-r
+    table of [0], ..., [r-1], so the cost does not grow with |n|.
+    For 1 <= n < r the table holds t^{2(n-1)} + t^{2(n-3)} + ... +
+    t^{-2(n-1)} (no division needed).
     """
     if r < 2:
         raise ValueError("qint needs r >= 2")
-    if n == 0:
+    sign, idx = index_fold(n, r)
+    if not sign:
         return CycScalar.zero(r)
-    if n < 0:
-        return -qint(-n, r)
-    acc = CycScalar.zero(r)
-    for i in range(n):
-        acc = acc + t_power(r, 2 * (n - 1 - 2 * i))
-    return acc
+    value = _qint_table(r)[idx]
+    return value if sign > 0 else -value
 
 
 def qint_factorial(n: int, r: int) -> CycScalar:

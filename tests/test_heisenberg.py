@@ -2,6 +2,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaforge import linalg
 from thetaforge.heisenberg import (
@@ -66,6 +68,38 @@ def test_heis_reduce_is_homomorphism():
             assert heis_reduce(heis_mul(x, y), N) == finite_mul(
                 heis_reduce(x, N), heis_reduce(y, N)
             )
+
+
+def _heis_reduce_loops(x, N):
+    """Reference reduction one step of N at a time (cost linear in the labels)."""
+    p, q, k = x
+    while p >= N:
+        p, k = p - N, k - N * q
+    while p < 0:
+        p, k = p + N, k + N * q
+    while q >= N:
+        q, k = q - N, k + N * p
+    while q < 0:
+        q, k = q + N, k - N * p
+    return FiniteHeisElt(N, p, q, k % (2 * N))
+
+
+_EVEN_N = st.integers(1, 20).map(lambda h: 2 * h)
+_SMALL = st.integers(-300, 300)
+_HUGE = st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EVEN_N, _SMALL, _SMALL, _SMALL)
+def test_heis_reduce_matches_step_reduction(N, p, q, k):
+    assert heis_reduce(HeisElt(p, q, k), N) == _heis_reduce_loops(HeisElt(p, q, k), N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EVEN_N, st.tuples(_HUGE, _HUGE, _HUGE), st.tuples(_HUGE, _HUGE, _HUGE))
+def test_heis_reduce_is_homomorphism_on_huge_labels(N, x, y):
+    x, y = HeisElt(*x), HeisElt(*y)
+    assert heis_reduce(heis_mul(x, y), N) == finite_mul(heis_reduce(x, N), heis_reduce(y, N))
 
 
 def _mat_complex(mat):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaforge.scalar import (
     ComplexAP,
@@ -203,3 +205,26 @@ def test_laurent_ring():
 def test_laurent_coefficients_are_rational():
     p = LaurentPoly({2: Fraction(1, 3)}) * LaurentPoly({-2: 3})
     assert p == LaurentPoly.one()
+
+
+def _qint_direct(n, r):
+    """[n] as the plain sum t^{2(n-1)} + t^{2(n-3)} + ... + t^{-2(n-1)}; [-n] = -[n]."""
+    acc = CycScalar.zero(r)
+    for i in range(abs(n)):
+        acc = acc + t_power(r, 2 * (abs(n) - 1 - 2 * i))
+    return acc if n >= 0 else -acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_qint_matches_root_power_sum(data):
+    r = data.draw(st.integers(2, 24))
+    n = data.draw(st.integers(-5 * r, 5 * r))
+    assert qint(n, r) == _qint_direct(n, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(-(10**6), 10**6))
+def test_qint_large_label_folds(r, n):
+    big = 10**18 + n
+    assert qint(big, r) == _qint_direct(big % (2 * r), r)
