@@ -10,11 +10,8 @@ from thetaforge.scalar import CycScalar, euler_phi, t_power
 
 def _schoolbook(a, b):
     """Reference product: one CycScalar * and + per term."""
-    r = a[0][0].r
-    return [
-        [sum((a[i][s] * b[s][j] for s in range(len(b))), CycScalar.zero(r)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+    zero = CycScalar.zero(a[0][0].r)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
 
 
 @st.composite
