@@ -1,12 +1,13 @@
 """Small exact linear algebra kernel.
 
-Matrices are plain lists of lists.  ``mat_mul`` and ``mat_vec`` take
-CycScalar entries only and multiply by packed exact dot products; the
-other routines need entries that support +, -, *, /, == and truth
-testing.  Everything here is exact; nothing ever rounds.
+Matrices are plain lists of lists.  ``mat_mul`` and ``mat_vec`` multiply
+CycScalar entries by packed exact dot products; ``mat_inverse`` and
+``RowSpan`` eliminate CycScalar vectors exactly; the other routines need
+entries that support +, -, *, == and truth testing.  Nothing ever rounds.
 """
 from __future__ import annotations
 
+from bisect import insort
 from math import lcm
 
 from .scalar import CycScalar, euler_phi
@@ -158,111 +159,100 @@ def mat_identity(n, one):
 
 
 def mat_inverse(a):
-    """Gauss-Jordan inverse over a field; raises on singular input."""
+    """Inverse of a square CycScalar matrix; raises ZeroDivisionError if singular.
+
+    Row i of the inverse combines the rows of a into the i-th unit vector.
+    """
     n = len(a)
-    one = None
+    if any(len(row) != n for row in a):
+        raise ValueError("mat_inverse needs a square matrix")
+    span = RowSpan()
     for row in a:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
+        span.add(row)
+    if not n or span.rank < n:
         raise ZeroDivisionError("singular matrix")
-    work = [list(row) for row in a]
-    inv = mat_identity(n, one)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = work[col][col].inverse() if hasattr(work[col][col], "inverse") else 1 / work[col][col]
-        work[col] = [x * scale for x in work[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return inv
+    zero, one = CycScalar.zero(a[0][0].r), CycScalar.one(a[0][0].r)
+    solved = [span.solve([one if j == i else zero for j in range(n)]) for i in range(n)]
+    return [[c.get(k, zero) for k in range(n)] for c in solved]
+
+
+def _reduce(rows, vec):
+    """Eliminate the dense vector vec against rows, in increasing lead order.
+
+    Returns (rest, used): rest maps the index of each nonzero entry left to
+    its value, and used holds one (lead, f) pair per row subtracted f times.
+    """
+    rest = {i: x for i, x in enumerate(vec) if x}
+    used = []
+    for lead, pairs in rows:
+        if not rest:
+            break
+        f = rest.pop(lead, None)
+        if f is None:
+            continue
+        used.append((lead, f))
+        for i, p in pairs:
+            x = rest.pop(i, None)
+            x = -(f * p) if x is None else x - f * p
+            if x:
+                rest[i] = x
+    return rest, tuple(used)
 
 
 class RowSpan:
-    """Incremental row space with exact elimination.
+    """Incremental row space of CycScalar vectors with exact sparse elimination.
 
-    Feed vectors with add(); the rank is the number kept.  Optionally
-    remembers the expression of each pivot row in terms of the fed
-    vectors, which solve() uses to write a new vector in that basis.
+    Feed vectors with add(); the rank is the number kept.  A pivot row is
+    stored as (lead, pairs): its entry at the lead is 1 and left out, and
+    pairs lists its other nonzero entries as (index, value) in index
+    order.  For each kept vector, add() records (fed index, lead, lead
+    inverse, multipliers), the multipliers being the (lead_l, f_l) pairs
+    it was reduced with, so pivot = inverse * (vector - sum(f_l * pivot_l)).
+    solve() back-substitutes through that record in reverse order.
     """
 
-    def __init__(self, track_combinations=False):
-        self.pivots = {}  # leading index -> (vector, combination | None)
-        self.count = 0
-        self.track = track_combinations
+    def __init__(self, state=(0, (), ())):
+        """An empty span, or the span whose state() is given."""
+        count, rows, record = state
+        self.count, self.rows, self.record = count, list(rows), list(record)
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.rows)
 
-    def _eliminate(self, vec, combo):
-        vec = list(vec)
-        for lead in sorted(self.pivots):
-            if lead >= len(vec):
-                break
-            if vec[lead]:
-                pivot_vec, pivot_combo = self.pivots[lead]
-                f = vec[lead]
-                for i in range(lead, len(vec)):
-                    if pivot_vec[i]:
-                        vec[i] = vec[i] - f * pivot_vec[i]
-                if combo is not None:
-                    for k, c in pivot_combo.items():
-                        combo[k] = combo.get(k, 0) - f * c
-        return vec, combo
+    def state(self):
+        """The span as nested tuples, immutable and hashable."""
+        return self.count, tuple(self.rows), tuple(self.record)
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        combo = {self.count: 1} if self.track else None
+        rest, used = _reduce(self.rows, vec)
         self.count += 1
-        vec, combo = self._eliminate(vec, combo)
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
+        if not rest:
             return False
-        inv = vec[lead].inverse() if hasattr(vec[lead], "inverse") else 1 / vec[lead]
-        vec = [x * inv for x in vec]
-        if combo is not None:
-            combo = {k: c * inv for k, c in combo.items() if c}
-        self.pivots[lead] = (vec, combo)
+        lead = min(rest)
+        inv = rest.pop(lead).inverse()
+        insort(self.rows, (lead, tuple((i, rest[i] * inv) for i in sorted(rest))))
+        self.record.append((self.count - 1, lead, inv, used))
         return True
 
-    def contains(self, vec):
-        vec, _ = self._eliminate(list(vec), None)
-        return all(not x for x in vec)
-
     def solve(self, vec):
-        """Coefficients over the fed vectors reproducing vec, or None."""
-        if not self.track:
-            raise ValueError("span was built without combination tracking")
-        combo = {}
-        vec = list(vec)
-        for lead in sorted(self.pivots):
-            if lead >= len(vec):
-                break
-            if vec[lead]:
-                pivot_vec, pivot_combo = self.pivots[lead]
-                f = vec[lead]
-                for i in range(lead, len(vec)):
-                    if pivot_vec[i]:
-                        vec[i] = vec[i] - f * pivot_vec[i]
-                for k, c in pivot_combo.items():
-                    combo[k] = combo.get(k, 0) + f * c
-        if any(vec):
+        """{fed index: c}, every c nonzero, with sum(c * fed vector) == vec; None if outside."""
+        rest, used = _reduce(self.rows, vec)
+        if rest:
             return None
-        return combo
+        coeffs = dict(used)  # lead -> coefficient of that pivot row
+        out = {}
+        for index, lead, inv, multipliers in reversed(self.record):
+            c = coeffs.pop(lead, None)
+            if not c:
+                continue
+            c = out[index] = c * inv
+            for l, f in multipliers:
+                d = coeffs.get(l)
+                coeffs[l] = -(c * f) if d is None else d - c * f
+        return out
 
 
 def flatten(mat):
     return [x for row in mat for x in row]
-

@@ -524,28 +524,31 @@ def _exact_proportionality(m1, m2, r):
 # -- reconstruction and presentation ------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _spanning_basis(r: int, window: int = None):
+def _spanning_basis(r: int):
     """Curve classes whose representation matrices span all matrices.
 
-    Returns (fed_curves, span): the span tracks combinations indexed by
-    feed order, and fed_curves maps those indices back to curve classes.
+    Returns (fed_curves, state): state is the RowSpan.state() of their
+    matrices, fed in order, so the cached value is immutable.  The curves
+    (0,q), q <= r-2, and (p,q), 1 <= p <= r-2, q < 2(r-1-p), go first:
+    for r = 2..12 they are exactly those a greedy pass over the [0,2r)^2
+    window keeps, (r-1)^2 of them.  The rest of the window follows.
     """
-    if window is None:
-        window = 2 * r
-    span = linalg.RowSpan(track_combinations=True)
-    fed = []
     need = (r - 1) * (r - 1)
-    for p in range(window):
-        for q in range(window):
-            if span.rank == need:
-                return tuple(fed), span
-            fed.append((p, q))
-            span.add(linalg.flatten(rt_rep_matrix((p, q), r)))
+    first = [(0, q) for q in range(r - 1)]
+    first += [(p, q) for p in range(1, r - 1) for q in range(2 * (r - 1 - p))]
+    window = [(p, q) for p in range(2 * r) for q in range(2 * r)]
+    span = linalg.RowSpan()
+    fed = []
+    for curve in dict.fromkeys(first + window):
+        if span.rank == need:
+            break
+        fed.append(curve)
+        span.add(linalg.flatten(rt_rep_matrix(curve, r)))
     if span.rank != need:
         raise ArithmeticError(
-            f"no spanning set of curve operators in the [0,{window})^2 window"
+            f"no spanning set of curve operators in the [0,{2 * r})^2 window"
         )
-    return tuple(fed), span
+    return tuple(fed), span.state()
 
 
 def skein_from_matrix(mat, r: int) -> TorusSkein:
@@ -553,14 +556,13 @@ def skein_from_matrix(mat, r: int) -> TorusSkein:
     n = r - 1
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix size must be (r-1) x (r-1)")
-    fed, span = _spanning_basis(r)
-    combo = span.solve(linalg.flatten(mat))
+    fed, state = _spanning_basis(r)
+    combo = linalg.RowSpan(state).solve(linalg.flatten(mat))
     if combo is None:
         raise ArithmeticError("matrix escaped the curve-operator span")
     out = TorusSkein.zero(r)
     for idx, coeff in combo.items():
-        if coeff:
-            out = out + TorusSkein.curve(*fed[idx], r).scaled(coeff)
+        out = out + TorusSkein.curve(*fed[idx], r).scaled(coeff)
     return out
 
 

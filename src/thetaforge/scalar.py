@@ -224,7 +224,13 @@ class CycScalar:
             other = CycScalar.from_int(other, self.r)
         elif not isinstance(other, CycScalar):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            return CycScalar(self.r, [a - b for a, b in zip(self.num, other.num)], da)
+        return CycScalar(
+            self.r, [a * db - b * da for a, b in zip(self.num, other.num)], da * db
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -306,10 +312,10 @@ class CycScalar:
         return hash((self.r, self.num, self.den))
 
     def is_zero(self):
-        return all(c == 0 for c in self.num)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     # -- views ---------------------------------------------------------------
 

@@ -98,3 +98,131 @@ def test_mat_mul_rejects_shape_mismatch():
         linalg.mat_mul([[one, one]], [[one]])
     with pytest.raises(ValueError, match="shape"):
         linalg.mat_mul([[one, one]], [[one, one], [one]])
+
+
+# -- RowSpan and mat_inverse against a dense schoolbook elimination ----------
+
+def _rank(vectors):
+    """Reference rank: dense Gaussian elimination on a copy, column by column."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _small_scalar(draw, r, density):
+    """Zero with probability 1 - density, else small coefficients over a denominator up to 12."""
+    if draw(st.integers(0, 99)) >= density:
+        return CycScalar.zero(r)
+    phi = euler_phi(4 * r)
+    num = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    return CycScalar(r, num, draw(st.integers(1, 12)))
+
+
+@st.composite
+def _vectors(draw):
+    """(r, dim, vectors): sparse, dense, zero and repeated vectors mixed."""
+    r = draw(st.integers(2, 7))
+    dim = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            vectors.append([CycScalar.zero(r)] * dim)
+        elif kind == 1 and vectors:
+            c = draw(_small_scalar(r, 100))
+            vectors.append([c * x for x in draw(st.sampled_from(vectors))])
+        else:
+            density = 100 if kind == 2 else 30
+            vectors.append([draw(_small_scalar(r, density)) for _ in range(dim)])
+    return r, dim, vectors
+
+
+def _combine(coeffs, vectors, r, dim):
+    out = [CycScalar.zero(r)] * dim
+    for k, c in coeffs.items():
+        out = [x + c * y for x, y in zip(out, vectors[k])]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vectors(), st.data())
+def test_rowspan_matches_dense_elimination(case, data):
+    r, dim, vectors = case
+    span = linalg.RowSpan()
+    grew = [span.add(v) for v in vectors]
+    ranks = [_rank(vectors[: k + 1]) for k in range(len(vectors))]
+    assert grew == [now > before for before, now in zip([0] + ranks, ranks)]
+    assert span.rank == (ranks[-1] if ranks else 0)
+    # a random combination of the fed vectors is inside the span
+    weights = {k: data.draw(_small_scalar(r, 70)) for k in range(len(vectors))}
+    inside = _combine(weights, vectors, r, dim)
+    coeffs = span.solve(inside)
+    assert coeffs is not None and all(coeffs.values())
+    assert _combine(coeffs, vectors, r, dim) == inside
+    # a random vector is inside exactly when it leaves the rank unchanged
+    target = [data.draw(_small_scalar(r, 60)) for _ in range(dim)]
+    coeffs = span.solve(target)
+    if _rank(vectors + [target]) > span.rank:
+        assert coeffs is None
+    else:
+        assert _combine(coeffs, vectors, r, dim) == target
+
+
+def test_rowspan_state_round_trip():
+    r = 5
+    vectors = [[t_power(r, i * j) for j in range(4)] for i in range(3)]
+    span = linalg.RowSpan()
+    for v in vectors + vectors[:1]:
+        span.add(v)
+    state = span.state()
+    hash(state)
+    again = linalg.RowSpan(state)
+    target = [a + b for a, b in zip(vectors[0], vectors[2])]
+    assert again.rank == 3 and again.solve(target) == span.solve(target)
+    assert again.add(vectors[1]) is False and again.count == span.count + 1
+    assert span.state() == state
+
+
+@st.composite
+def _square(draw):
+    r = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 4))
+    density = draw(st.sampled_from((40, 100)))
+    return [[draw(_small_scalar(r, density)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square())
+def test_mat_inverse_is_two_sided_or_raises(a):
+    n, r = len(a), a[0][0].r
+    if _rank(a) < n:
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            linalg.mat_inverse(a)
+        return
+    inv = linalg.mat_inverse(a)
+    ident = linalg.mat_identity(n, CycScalar.one(r))
+    assert linalg.mat_mul(a, inv) == ident
+    assert linalg.mat_mul(inv, a) == ident
+
+
+def test_mat_inverse_rejects_singular_and_non_square():
+    r = 4
+    row = [t_power(r, 1), CycScalar.from_fraction(Fraction(2, 3), r), t_power(r, 5)]
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        linalg.mat_inverse([row, [CycScalar.zero(r)] * 3, [t_power(r, 2)] * 3])
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        linalg.mat_inverse([row, [x * 5 for x in row], [t_power(r, 2)] * 3])
+    with pytest.raises(ValueError, match="square"):
+        linalg.mat_inverse([row, row])

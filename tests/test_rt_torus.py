@@ -8,6 +8,7 @@ from thetaforge.rt_torus import (
     GENERIC,
     UNIT,
     TorusSkein,
+    _spanning_basis,
     curve_transform,
     eta_inverse_square,
     eta_numeric,
@@ -377,6 +378,14 @@ def test_skein_from_matrix():
         m = linalg.mat_mul(rho_T(r), rt_rep_matrix((2, 1), r))
         sk = skein_from_matrix(m, r)
         assert linalg.mat_eq(rt_rep_matrix(sk, r), m)
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_spanning_basis_feeds_only_kept_curves(r):
+    basis = _spanning_basis(r)
+    hash(basis)  # the cached value is immutable, so callers cannot change each other's basis
+    fed, state = basis
+    assert len(fed) == (r - 1) ** 2 == linalg.RowSpan(state).rank
 
 
 def test_presentation_check():
