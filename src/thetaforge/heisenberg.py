@@ -23,16 +23,15 @@ no diagonal operator can intertwine the untransposed column action of T.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
 
-from .scalar import ComplexAP, CycScalar, DEFAULT_PREC_BITS
+from .scalar import CycScalar, DEFAULT_PREC_BITS, embed_matrix
 from . import linalg
-from .sl2z import IDENTITY, S, T, SL2Z, sl2z_decompose, word_matrix
+from .sl2z import IDENTITY, S, T, SL2Z, sl2z_decompose
 
 
 class HeisElt(NamedTuple):
@@ -45,10 +44,6 @@ class HeisElt(NamedTuple):
 
 def heis_mul(x: HeisElt, y: HeisElt) -> HeisElt:
     return HeisElt(x.p + y.p, x.q + y.q, x.k + y.k + (x.p * y.q - x.q * y.p))
-
-
-def heis_inverse(x: HeisElt) -> HeisElt:
-    return HeisElt(-x.p, -x.q, -x.k)
 
 
 class FiniteHeisElt(NamedTuple):
@@ -256,43 +251,17 @@ def fourier_abelian(h, N: int, precision_bits: int = DEFAULT_PREC_BITS):
     h may be an SL2Z matrix or a word over {S, T}.  The result conjugates
     the theta-basis action of b(p,q) to that of observable_action_matrix(h)
     applied to (p,q); it is canonical up to the remaining 2pi/N phase
-    window, which is fixed on the first nonzero entry of column 0.
+    window, which is fixed on the first nonzero entry of column 0.  It is
+    N^{-s/2} times the embedding of fourier_word_exact, s the number of S
+    letters counted with multiplicity.
     """
     word = _as_word(h)
-    with mpmath.workprec(precision_bits + 16):
-        t = mpmath.expjpi(mpmath.mpf(1) / N)
-        inv_sqrt_n = 1 / mpmath.sqrt(N)
-        mat = _nmat_identity(N)
-        for letter, exp in word:
-            if letter == "T":
-                gen = [
-                    [t ** ((-exp * j * j) % (2 * N)) if i == j else mpmath.mpc(0) for j in range(N)]
-                    for i in range(N)
-                ]
-                mat = _nmat_mul(mat, gen)
-            else:
-                sign = 1 if exp >= 0 else -1
-                for _ in range(abs(exp)):
-                    gen = [
-                        [inv_sqrt_n * t ** ((sign * 2 * j * k) % (2 * N)) for k in range(N)]
-                        for j in range(N)
-                    ]
-                    mat = _nmat_mul(mat, gen)
+    s_count = sum(abs(exp) for letter, exp in word if letter == "S")
+    prec = precision_bits + 16
+    with mpmath.workprec(prec):
+        scale = mpmath.sqrt(N) ** -s_count
+        mat = embed_matrix(fourier_word_exact(word, N), scale, prec)
         return _phase_normalize(mat, N)
-
-
-def _nmat_identity(n):
-    return [[mpmath.mpc(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _nmat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return [
-        [mpmath.fsum(a[i][s] * b[s][j] for s in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def _phase_normalize(mat, N):
@@ -321,10 +290,6 @@ def f_of_t_skein(N: int) -> HeisAlgElt:
     if N % 2 or N < 2:
         raise ValueError("N must be even and >= 2")
     return HeisAlgElt(N, {(0, j): t_heis(N, j * j) for j in range(N)})
-
-
-def f_of_t_norm(N: int) -> float:
-    return 1.0 / math.sqrt(N)
 
 
 def twist_skein_solve(N: int) -> HeisAlgElt:
@@ -474,7 +439,6 @@ __all__ = [
     "ThetaVector",
     "LagrangianLine",
     "heis_mul",
-    "heis_inverse",
     "heis_reduce",
     "finite_mul",
     "schrodinger_matrix",
@@ -486,7 +450,6 @@ __all__ = [
     "fourier_abelian",
     "fourier_word_exact",
     "f_of_t_skein",
-    "f_of_t_norm",
     "twist_skein_solve",
     "matrix_to_heisenberg",
     "omega_u1",

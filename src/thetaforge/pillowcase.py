@@ -14,7 +14,7 @@ skein-algebra matrices (rt_torus) is a checked theorem, not shared code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 

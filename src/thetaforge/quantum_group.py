@@ -15,7 +15,6 @@ sum reproduces.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 

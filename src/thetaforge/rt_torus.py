@@ -20,7 +20,6 @@ field.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
@@ -33,12 +32,12 @@ from .scalar import (
     DEFAULT_PREC_BITS,
     LaurentPoly,
     cheb_s,
-    cheb_t,
+    embed_matrix,
     index_fold,
     qint,
     t_power,
 )
-from .sl2z import IDENTITY, S, SL2Z, T, format_word, sl2z_decompose, word_matrix
+from .sl2z import SL2Z, sl2z_decompose
 
 GENERIC = "generic"
 UNIT = "unit"  # the empty skein, multiplicative identity
@@ -299,10 +298,10 @@ def eta_numeric(r: int, precision_bits: int = DEFAULT_PREC_BITS):
 
 def omega_su2(r: int, precision_bits: int = DEFAULT_PREC_BITS) -> SolidTorusVector:
     """The surgery-curve color eta * sum_j [j] V^j, numerically normalized."""
-    eta = eta_numeric(r, precision_bits)
-    with mpmath.workprec(precision_bits):
-        coeffs = tuple(eta * qint(j, r).embed(precision_bits).to_mpc() for j in range(1, r))
-    return SolidTorusVector(r, coeffs)
+    (coeffs,) = embed_matrix(
+        [quantum_dimension_vector(r)], eta_numeric(r, precision_bits), precision_bits
+    )
+    return SolidTorusVector(r, tuple(coeffs))
 
 
 def quantum_dimension_vector(r: int):
@@ -325,11 +324,7 @@ def rho_S_exact(r: int):
 
 def rho_S(r: int, precision_bits: int = DEFAULT_PREC_BITS):
     """rho(S) = eta [jk] as a numeric matrix."""
-    eta = eta_numeric(r, precision_bits)
-    with mpmath.workprec(precision_bits):
-        return [
-            [eta * x.embed(precision_bits).to_mpc() for x in row] for row in hopf_gram(r)
-        ]
+    return embed_matrix(hopf_gram(r), eta_numeric(r, precision_bits), precision_bits)
 
 
 def rho_word_exact(word, r: int):
@@ -362,7 +357,7 @@ def rho_word(word, r: int, precision_bits: int = DEFAULT_PREC_BITS):
     exact, s_count = rho_word_exact(word, r)
     with mpmath.workprec(precision_bits):
         scale = eta_numeric(r, precision_bits) ** s_count
-        return [[scale * x.embed(precision_bits).to_mpc() for x in row] for row in exact]
+    return embed_matrix(exact, scale, precision_bits)
 
 
 def curve_transform(h: SL2Z, p: int, q: int):
@@ -460,7 +455,7 @@ def _kp_sum(a, b, c, d, r, window):
     return mat
 
 
-def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
+def rho_kac_peterson(h: SL2Z, r: int, precision_bits: int = DEFAULT_PREC_BITS) -> KacPeterson:
     """Closed-form rho(h) up to a scalar, from the theta-transform sum.
 
     The sum is evaluated after swapping the diagonal entries of h: the
@@ -469,7 +464,8 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
     antiautomorphism reconciling the two.  The result is validated by
     exact proportionality against the generator-word product; the
     summation lattice that passed and the numeric unit constant are
-    reported alongside the exact matrix.
+    reported alongside the exact matrix; the constant is computed at
+    precision_bits.
     """
     h.check()
     a, b, c, d = h.d, h.b, h.c, h.a  # word-reversal antiautomorphism
@@ -484,15 +480,14 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
             # mat = (ratio / eta^s) rho(h); the modulus is recovered
             # independently from the Frobenius norm, so the reported
             # phase really is unit only if the two routes agree.
-            with mpmath.workprec(DEFAULT_PREC_BITS):
-                n = r - 1
-                frob = mpmath.sqrt(
-                    mpmath.fsum(
-                        abs(x.embed().to_mpc()) ** 2 for row in mat for x in row
-                    )
+            emb = embed_matrix(mat, 1, precision_bits)
+            with mpmath.workprec(precision_bits):
+                frob = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for row in emb for x in row))
+                constant = (
+                    eta_numeric(r, precision_bits) ** s_count
+                    / ratio.embed(precision_bits).to_mpc()
                 )
-                constant = eta_numeric(r) ** s_count / ratio.embed().to_mpc()
-                unit = constant * frob / mpmath.sqrt(n)
+                unit = constant * frob / mpmath.sqrt(r - 1)
             return KacPeterson(mat, unit, window)
     raise ArithmeticError(
         f"closed form for {tuple(h)} is not proportional to the word product"
@@ -642,8 +637,6 @@ def presentation_relations(mode):
 
 def presentation_check(r: int):
     """Verify the presentation relations on the curve-operator matrices."""
-    X = rt_rep_matrix((1, 0), r)
-    Y = rt_rep_matrix((0, 1), r)
     report = {}
     for name, diff in presentation_relations(r):
         report[name] = linalg.mat_is_zero(rt_rep_matrix(diff, r))
@@ -663,7 +656,6 @@ __all__ = [
     "UNIT",
     "TorusSkein",
     "SolidTorusVector",
-    "SL2Z",
     "pts_mul",
     "canonical_curve",
     "index_fold",
@@ -688,5 +680,4 @@ __all__ = [
     "skein_from_matrix",
     "presentation_check",
     "presentation_check_generic",
-    "sl2z_decompose",
 ]

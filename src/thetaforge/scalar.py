@@ -8,10 +8,16 @@ testing, inversion and linear algebra are exact.  A quotient by the
 cyclotomic polynomial, rather than by x^{4r}-1, is essential: the former
 is a field, the latter has zero divisors.
 
+Inverses and complex conjugates come from the Galois maps
+zeta -> zeta^k.  The complex embedding is fixed point: one exact integer
+dot product of the coefficients against a cached table of 2**F cos and
+2**F sin of the root angles, then one rounding per part, with the error
+bound stated on CycScalar.embed.
+
 Also provided: quantized integers [n], Chebyshev polynomials of both
 kinds with the downward extensions S_{-1} = 0 and S_{-2} = -1, Laurent
 polynomials over Q for generic-parameter computations, and
-arbitrary-precision complex embedding via mpmath.
+arbitrary-precision complex values (ComplexAP).
 """
 from __future__ import annotations
 
@@ -19,8 +25,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 DEFAULT_PREC_BITS = 128
 
@@ -202,10 +210,10 @@ class CycScalar:
             raise ValueError(f"mixed cyclotomic orders r={self.r} and r={other.r}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = CycScalar.from_int(other, self.r)
-        elif not isinstance(other, CycScalar):
-            return NotImplemented
+        if not isinstance(other, CycScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycScalar.from_fraction(other, self.r)
         self._check(other)
         da, db = self.den, other.den
         if da == db:
@@ -220,10 +228,10 @@ class CycScalar:
         return CycScalar(self.r, tuple(-c for c in self.num), self.den, _normalized=True)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycScalar.from_int(other, self.r)
-        elif not isinstance(other, CycScalar):
-            return NotImplemented
+        if not isinstance(other, CycScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycScalar.from_fraction(other, self.r)
         self._check(other)
         da, db = self.den, other.den
         if da == db:
@@ -256,31 +264,23 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
+        """Multiplicative inverse through the field norm.
+
+        With sigma_k: zeta -> zeta^k for the units k of Z/4r, the product
+        y = prod_{k != 1} sigma_k(x) makes x*y = N(x), the norm, which is
+        rational; so 1/x = y / N(x).  On x = X/den with integer X this is
+        den * Y / (X*Y)[0], where Y is the same product over X.
+        """
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         m = 4 * self.r
-        phi = [Fraction(c) for c in cyclotomic_poly(m)]
-        a = [Fraction(c, self.den) for c in self.num]
-        # Bezout: find u with a*u = 1 (mod Phi_m).
-        r0, r1 = phi, _ftrim(a)
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, rem = _fdivmod(r0, r1)
-            rem = _ftrim(rem)
-            if not rem:
-                break
-            s0, s1 = s1, _ftrim(_fsub(s0, _fmul(q, s1)))
-            r0, r1 = r1, rem
-        lead = r1[-1]
-        if len(r1) != 1:
-            raise ArithmeticError("element is a zero divisor; Phi reduction broken")
-        inv = [c / lead for c in s1]
-        den = 1
-        for c in inv:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = [int(c * den) for c in inv]
-        return CycScalar(self.r, vec, den)
+        cof = [1]
+        for k in _galois_units(m):
+            cof = _reduce_mod_cyclotomic(list(poly_mul(cof, _galois(self.num, k, m))), m)
+        norm = _reduce_mod_cyclotomic(list(poly_mul(self.num, cof)), m)
+        if any(norm[1:]):
+            raise ArithmeticError("norm is not rational; Phi reduction broken")
+        return CycScalar(self.r, [c * self.den for c in cof], norm[0])
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -302,10 +302,10 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == CycScalar.from_int(other, self.r)
         if not isinstance(other, CycScalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycScalar.from_fraction(other, self.r)
         return self.r == other.r and self.den == other.den and self.num == other.num
 
     def __hash__(self):
@@ -326,23 +326,31 @@ class CycScalar:
 
     def conjugate(self):
         """Complex conjugation, i.e. the Galois map zeta -> zeta^{-1}."""
-        m = 4 * self.r
-        out = CycScalar.zero(self.r)
-        for e, c in enumerate(self.num):
-            if c:
-                out = out + CycScalar.root_power(self.r, -e) * c
-        return CycScalar(self.r, out.num, out.den * self.den)
+        return CycScalar(self.r, _galois(self.num, -1, 4 * self.r), self.den)
 
     def embed(self, precision_bits: int = DEFAULT_PREC_BITS):
-        """Numerical value at zeta = exp(i*pi/2r) as a ComplexAP."""
-        m = 4 * self.r
-        with mpmath.workprec(precision_bits + 16):
-            zeta = mpmath.expjpi(mpmath.mpf(2) / m)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.num):
-                acc = acc * zeta + c
-            acc = acc / self.den
-            return ComplexAP(acc.real, acc.imag, precision_bits)
+        """Numerical value at zeta = exp(i*pi/2r) as a ComplexAP.
+
+        Fixed point, with F = precision_bits + 16 + bit_length(phi):
+        A = sum_e c_e C_e and B = sum_e c_e S_e are exact integer dot
+        products against the nearest integers C_e, S_e to
+        2**F cos(2 pi e/4r) and 2**F sin(2 pi e/4r), e < phi.  Since
+        |C_e - 2**F cos(2 pi e/4r)| <= 1/2 (and likewise for S_e),
+        A / (den 2**F) is within (sum_e |c_e| / den) * 2**-(F+1) of the
+        real part, and B / (den 2**F) of the imaginary part.  Each is
+        rounded once, to nearest at precision_bits + 16 bits, so each
+        part of the result is within
+        (sum_e |c_e| / den) * 2**-(precision_bits + 15) of the true value.
+        """
+        prec = precision_bits + 16
+        frac_bits = prec + len(self.num).bit_length()
+        cos, sin = _embed_table(4 * self.r, frac_bits)
+        den = self.den << frac_bits
+        return ComplexAP(
+            _mpf_ratio(sum(map(mul, self.num, cos)), den, prec),
+            _mpf_ratio(sum(map(mul, self.num, sin)), den, prec),
+            precision_bits,
+        )
 
     def to_complex(self) -> complex:
         """Fast double-precision value (for numeric sweeps, not certified)."""
@@ -389,47 +397,50 @@ def _float_root(m):
     return cmath.exp(2j * cmath.pi / m)
 
 
-# Fraction-polynomial helpers used only by CycScalar.inverse.
-
-def _ftrim(a):
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return list(a[:n])
+@functools.lru_cache(maxsize=None)
+def _galois_units(m):
+    """The units k != 1 of Z/m: the Galois group of Q(zeta_m) less the identity."""
+    return tuple(k for k in range(2, m) if gcd(k, m) == 1)
 
 
-def _fsub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
+def _galois(num, k, m):
+    """Integer vector of sigma_k(sum num[e] zeta^e), sigma_k: zeta -> zeta^k."""
+    vec = [0] * m
+    for e, c in enumerate(num):
+        if c:
+            vec[e * k % m] += c
+    return _reduce_mod_cyclotomic(vec, m)
 
 
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+@functools.lru_cache(maxsize=None)
+def _embed_table(m, frac_bits):
+    """(C, S): the nearest integers to 2**F cos(2 pi e/m), 2**F sin(2 pi e/m), e < phi(m).
+
+    F = frac_bits.  The values are taken with `guard` extra bits, and the
+    guard doubles while one lies within 2**-(guard/2) of a half-integer,
+    so every entry is the nearest integer.  The loop ends: 2**F cos(2 pi
+    e/m) is never a half-integer, because a rational cosine of a rational
+    multiple of pi is one of 0, +-1/2, +-1 (likewise for the sine).
+    """
+    count = euler_phi(m)
+    guard = 32
+    while True:
+        with mpmath.workprec(frac_bits + guard):
+            tables = []
+            for f in (mpmath.cospi, mpmath.sinpi):
+                vals = [mpmath.ldexp(f(mpmath.mpf(2 * e) / m), frac_bits) for e in range(count)]
+                tables.append([int(mpmath.nint(v)) for v in vals])
+                margin = min(abs(abs(v - n) - mpmath.mpf(0.5)) for v, n in zip(vals, tables[-1]))
+                if margin < mpmath.ldexp(1, -guard // 2):
+                    break
+            else:
+                return tuple(map(tuple, tables))
+        guard *= 2
 
 
-def _fdivmod(n, d):
-    n = _ftrim(n)
-    d = _ftrim(d)
-    q = [Fraction(0)] * max(len(n) - len(d) + 1, 1)
-    while n and len(n) >= len(d):
-        shift = len(n) - len(d)
-        coef = n[-1] / d[-1]
-        q[shift] = coef
-        for i, c in enumerate(d):
-            n[shift + i] -= coef * c
-        n = _ftrim(n)
-    return q, n
+def _mpf_ratio(p, q, prec):
+    """The mpf nearest to p/q at prec bits (one rounding)."""
+    return mpmath.mp.make_mpf(from_rational(p, q, prec, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -712,3 +723,13 @@ class ComplexAP:
 def embed(s: CycScalar, precision_bits: int = DEFAULT_PREC_BITS) -> ComplexAP:
     """Module-level alias for CycScalar.embed."""
     return s.embed(precision_bits)
+
+
+def embed_matrix(mat, scale=1, precision_bits: int = DEFAULT_PREC_BITS):
+    """scale times the embedding of each entry of a CycScalar matrix.
+
+    Rows of mpc at precision_bits; scale is one real (or complex) factor,
+    such as the normalisation of a transform whose exact part is mat.
+    """
+    with mpmath.workprec(precision_bits):
+        return [[scale * x.embed(precision_bits).to_mpc() for x in row] for row in mat]

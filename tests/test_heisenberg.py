@@ -419,3 +419,54 @@ def test_sl2z_decompose_round_trip():
         assert word_matrix(sl2z_decompose(h)) == h
     assert sl2z_decompose(T) == [("T", 1)]
     assert sl2z_decompose(S) == [("S", 1)]
+
+
+def _fourier_generator_product(word, N, prec):
+    """rho(word) as a product of the numeric generators, in mpmath at prec bits:
+    rho(S^{+-1}) = N^{-1/2} [t^{+-2jk}] and rho(T^e) = diag(t^{-e j^2}), t = exp(i pi/N)."""
+    with mpmath.workprec(prec):
+        t = mpmath.expjpi(mpmath.mpf(1) / N)
+        inv_sqrt_n = 1 / mpmath.sqrt(N)
+        mat = [[mpmath.mpc(1 if i == j else 0) for j in range(N)] for i in range(N)]
+        gens = []
+        for letter, exp in word:
+            if letter == "T":
+                gen = [[mpmath.mpc(0)] * N for _ in range(N)]
+                for j in range(N):
+                    gen[j][j] = t ** ((-exp * j * j) % (2 * N))
+                gens.append(gen)
+            else:
+                sign = 1 if exp >= 0 else -1
+                gen = [
+                    [inv_sqrt_n * t ** ((sign * 2 * j * k) % (2 * N)) for k in range(N)]
+                    for j in range(N)
+                ]
+                gens += [gen] * abs(exp)
+        for gen in gens:
+            mat = [
+                [mpmath.fsum(mat[i][s] * gen[s][j] for s in range(N)) for j in range(N)]
+                for i in range(N)
+            ]
+        return mat
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 16])
+def test_fourier_abelian_matches_generator_product(N):
+    # fourier_abelian fixes its phase on a computed argument, so the two may
+    # differ by an N-th root of unity; every entry must agree after it.
+    rng = random.Random(100 + N)
+    tol = mpmath.mpf(2) ** -100
+    for _ in range(4):
+        word = [
+            (letter, rng.choice((-1, 1)) * rng.randint(1, 3))
+            for letter in rng.choice(("ST", "TS")) * rng.randint(1, 2)
+        ]
+        got = fourier_abelian(word, N)
+        want = _fourier_generator_product(word, N, 160)
+        with mpmath.workprec(160):
+            i, j = max(
+                ((i, j) for i in range(N) for j in range(N)), key=lambda ij: abs(want[ij[0]][ij[1]])
+            )
+            c = got[i][j] / want[i][j]
+            assert abs(c**N - 1) < tol
+            assert all(abs(got[a][b] - c * want[a][b]) < tol for a in range(N) for b in range(N))

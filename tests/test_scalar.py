@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaforge.scalar import (
@@ -228,3 +229,118 @@ def test_qint_matches_root_power_sum(data):
 def test_qint_large_label_folds(r, n):
     big = 10**18 + n
     assert qint(big, r) == _qint_direct(big % (2 * r), r)
+
+
+@st.composite
+def _dense_element(draw, max_r, max_bits, max_den):
+    r = draw(st.integers(1, max_r))
+    phi = euler_phi(4 * r)
+    bits = draw(st.integers(1, max_bits))
+    num = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=phi, max_size=phi))
+    return CycScalar(r, num, draw(st.integers(1, max_den)))
+
+
+def _horner(x, prec):
+    """sum c_e zeta^e / den by Horner's rule in mpmath at prec bits."""
+    with mpmath.workprec(prec):
+        zeta = mpmath.expjpi(mpmath.mpf(2) / (4 * x.r))
+        acc = mpmath.mpc(0)
+        for c in reversed(x.num):
+            acc = acc * zeta + c
+        return acc / x.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_element(30, 200, 2**64), st.integers(53, 256))
+def test_embed_within_stated_bound(x, prec):
+    got = x.embed(prec)
+    frac_bits = prec + 16 + euler_phi(4 * x.r).bit_length()
+    with mpmath.workprec(4 * prec):
+        want = _horner(x, 4 * prec)
+        weight = mpmath.mpf(sum(abs(c) for c in x.num)) / x.den
+        for part, exact in ((got.re, want.real), (got.im, want.imag)):
+            err = abs(part - exact)
+            # table error, plus one rounding to prec + 16 bits
+            rounding = abs(part) * mpmath.ldexp(1, -(prec + 15))
+            assert err <= weight * mpmath.ldexp(1, -(frac_bits + 1)) + rounding
+            assert err <= weight * mpmath.ldexp(1, -(prec + 15))
+
+
+def _fraction_euclid_inverse(x):
+    """1/x by the extended Euclidean algorithm over Fraction polynomials."""
+
+    def trim(a):
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def sub_mul(a, q, b):  # a - q*b
+        out = [Fraction(0)] * max(len(a), len(q) + len(b) - 1)
+        for i, c in enumerate(a):
+            out[i] += c
+        for i, cq in enumerate(q):
+            for j, cb in enumerate(b):
+                out[i + j] -= cq * cb
+        return trim(out)
+
+    def divmod_(n, d):
+        n = trim(n)
+        q = [Fraction(0)] * max(len(n) - len(d) + 1, 1)
+        while len(n) >= len(d):
+            shift = len(n) - len(d)
+            q[shift] = n[-1] / d[-1]
+            n = trim(sub_mul(n, [0] * shift + [q[shift]], d))
+        return q, n
+
+    r0 = [Fraction(c) for c in cyclotomic_poly(4 * x.r)]
+    r1 = trim(Fraction(c, x.den) for c in x.num)
+    s0, s1 = [], [Fraction(1)]
+    while True:
+        q, rem = divmod_(r0, r1)
+        if not rem:
+            break
+        s0, s1 = s1, sub_mul(s0, q, s1)
+        r0, r1 = r1, rem
+    assert len(r1) == 1
+    inv = [c / r1[0] for c in s1]
+    den = 1
+    for c in inv:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return CycScalar(x.r, [int(c * den) for c in inv], den)
+
+
+@st.composite
+def _sparse_element(draw, max_r, max_bits, max_terms):
+    r = draw(st.integers(1, max_r))
+    phi = euler_phi(4 * r)
+    num = [0] * phi
+    bound = 2 ** draw(st.integers(1, max_bits))
+    for _ in range(draw(st.integers(1, max_terms))):
+        num[draw(st.integers(0, phi - 1))] = draw(st.integers(-bound, bound))
+    return CycScalar(r, num, draw(st.integers(1, 2**64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_dense_element(8, 64, 2**64), _sparse_element(16, 64, 4)))
+@example(CycScalar(16, [2**64 - 1] + [0] * 12 + [5 - 2**63] + [0] * 17 + [2**62 + 1], 2**64 - 59))
+def test_inverse_matches_euclid(x):
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert x * inv == CycScalar.one(x.r)
+    want = _fraction_euclid_inverse(x)
+    assert (inv.num, inv.den) == (want.num, want.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_element(12, 64, 2**32), st.fractions(max_denominator=2**40))
+def test_fraction_operands_coerce(x, q):
+    y = CycScalar.from_fraction(q, x.r)
+    assert x + q == x + y == q + x
+    assert x - q == x - y
+    assert q - x == y - x
+    assert (x == q) == (x == y)
+    assert y == q
