@@ -455,7 +455,7 @@ def _kp_sum(a, b, c, d, r, window):
     return mat
 
 
-def rho_kac_peterson(h: SL2Z, r: int, precision_bits: int = DEFAULT_PREC_BITS) -> KacPeterson:
+def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
     """Closed-form rho(h) up to a scalar, from the theta-transform sum.
 
     The sum is evaluated after swapping the diagonal entries of h: the
@@ -464,8 +464,7 @@ def rho_kac_peterson(h: SL2Z, r: int, precision_bits: int = DEFAULT_PREC_BITS) -
     antiautomorphism reconciling the two.  The result is validated by
     exact proportionality against the generator-word product; the
     summation lattice that passed and the numeric unit constant are
-    reported alongside the exact matrix; the constant is computed at
-    precision_bits.
+    reported alongside the exact matrix.
     """
     h.check()
     a, b, c, d = h.d, h.b, h.c, h.a  # word-reversal antiautomorphism
@@ -480,13 +479,10 @@ def rho_kac_peterson(h: SL2Z, r: int, precision_bits: int = DEFAULT_PREC_BITS) -
             # mat = (ratio / eta^s) rho(h); the modulus is recovered
             # independently from the Frobenius norm, so the reported
             # phase really is unit only if the two routes agree.
-            emb = embed_matrix(mat, 1, precision_bits)
-            with mpmath.workprec(precision_bits):
+            emb = embed_matrix(mat)
+            with mpmath.workprec(DEFAULT_PREC_BITS):
                 frob = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for row in emb for x in row))
-                constant = (
-                    eta_numeric(r, precision_bits) ** s_count
-                    / ratio.embed(precision_bits).to_mpc()
-                )
+                constant = eta_numeric(r) ** s_count / ratio.embed().to_mpc()
                 unit = constant * frob / mpmath.sqrt(r - 1)
             return KacPeterson(mat, unit, window)
     raise ArithmeticError(

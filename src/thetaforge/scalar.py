@@ -309,6 +309,9 @@ class CycScalar:
         return self.r == other.r and self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # rational values hash as the equal int or Fraction does
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.r, self.num, self.den))
 
     def is_zero(self):
@@ -331,24 +334,22 @@ class CycScalar:
     def embed(self, precision_bits: int = DEFAULT_PREC_BITS):
         """Numerical value at zeta = exp(i*pi/2r) as a ComplexAP.
 
-        Fixed point, with F = precision_bits + 16 + bit_length(phi):
-        A = sum_e c_e C_e and B = sum_e c_e S_e are exact integer dot
-        products against the nearest integers C_e, S_e to
-        2**F cos(2 pi e/4r) and 2**F sin(2 pi e/4r), e < phi.  Since
-        |C_e - 2**F cos(2 pi e/4r)| <= 1/2 (and likewise for S_e),
-        A / (den 2**F) is within (sum_e |c_e| / den) * 2**-(F+1) of the
-        real part, and B / (den 2**F) of the imaginary part.  Each is
-        rounded once, to nearest at precision_bits + 16 bits, so each
-        part of the result is within
-        (sum_e |c_e| / den) * 2**-(precision_bits + 15) of the true value.
+        Fixed point, with F = precision_bits + 16: A = sum_e c_e C_e and
+        B = sum_e c_e S_e are exact integer dot products against integers
+        C_e, S_e within 1/2 + 2**-60 of 2**F cos(2 pi e/4r) and
+        2**F sin(2 pi e/4r), e < phi.  So A / (den 2**F) is within
+        W * (1/2 + 2**-60) * 2**-F of the real part, W = sum_e |c_e| / den,
+        and B / (den 2**F) likewise of the imaginary part.  Each is rounded
+        once, to nearest at F bits, adding at most W * (1 + 2**-F) * 2**-F
+        since both parts have modulus at most W.  Each part of the result
+        is therefore within W * 2**-(precision_bits + 15) of the true value.
         """
-        prec = precision_bits + 16
-        frac_bits = prec + len(self.num).bit_length()
+        frac_bits = precision_bits + 16
         cos, sin = _embed_table(4 * self.r, frac_bits)
         den = self.den << frac_bits
         return ComplexAP(
-            _mpf_ratio(sum(map(mul, self.num, cos)), den, prec),
-            _mpf_ratio(sum(map(mul, self.num, sin)), den, prec),
+            _mpf_ratio(sum(map(mul, self.num, cos)), den, frac_bits),
+            _mpf_ratio(sum(map(mul, self.num, sin)), den, frac_bits),
             precision_bits,
         )
 
@@ -414,28 +415,18 @@ def _galois(num, k, m):
 
 @functools.lru_cache(maxsize=None)
 def _embed_table(m, frac_bits):
-    """(C, S): the nearest integers to 2**F cos(2 pi e/m), 2**F sin(2 pi e/m), e < phi(m).
+    """(C, S): integers within 1/2 + 2**-60 of 2**F cos(2 pi e/m), 2**F sin(2 pi e/m), e < phi(m).
 
-    F = frac_bits.  The values are taken with `guard` extra bits, and the
-    guard doubles while one lies within 2**-(guard/2) of a half-integer,
-    so every entry is the nearest integer.  The loop ends: 2**F cos(2 pi
-    e/m) is never a half-integer, because a rational cosine of a rational
-    multiple of pi is one of 0, +-1/2, +-1 (likewise for the sine).
+    F = frac_bits.  The angle and each value are rounded at F + 64 bits,
+    which puts the value within 2**-60 of the true one (the angle error
+    2**-(F+63) is scaled by at most pi), and then to the nearest integer.
     """
     count = euler_phi(m)
-    guard = 32
-    while True:
-        with mpmath.workprec(frac_bits + guard):
-            tables = []
-            for f in (mpmath.cospi, mpmath.sinpi):
-                vals = [mpmath.ldexp(f(mpmath.mpf(2 * e) / m), frac_bits) for e in range(count)]
-                tables.append([int(mpmath.nint(v)) for v in vals])
-                margin = min(abs(abs(v - n) - mpmath.mpf(0.5)) for v, n in zip(vals, tables[-1]))
-                if margin < mpmath.ldexp(1, -guard // 2):
-                    break
-            else:
-                return tuple(map(tuple, tables))
-        guard *= 2
+    with mpmath.workprec(frac_bits + 64):
+        return tuple(
+            tuple(int(mpmath.nint(mpmath.ldexp(f(mpmath.mpf(2 * e) / m), frac_bits))) for e in range(count))
+            for f in (mpmath.cospi, mpmath.sinpi)
+        )
 
 
 def _mpf_ratio(p, q, prec):

@@ -347,15 +347,6 @@ def test_kac_peterson_random_words():
         assert abs(abs(kp.scalar) - 1) < 1e-10
 
 
-def test_kac_peterson_scalar_at_precision():
-    rng = random.Random(12)
-    for r in (3, 5, 8):
-        for _ in range(3):
-            kp = rho_kac_peterson(word_matrix(random_word(rng, 6)), r, precision_bits=256)
-            with mpmath.workprec(256):
-                assert abs(abs(kp.scalar) - 1) < mpmath.mpf(2) ** -240
-
-
 def test_f_of_twist_solve():
     c = f_of_twist_solve(3)
     kappa = c[0] / t_power(3, 1)

@@ -254,15 +254,16 @@ def _horner(x, prec):
 @given(_dense_element(30, 200, 2**64), st.integers(53, 256))
 def test_embed_within_stated_bound(x, prec):
     got = x.embed(prec)
-    frac_bits = prec + 16 + euler_phi(4 * x.r).bit_length()
+    frac_bits = prec + 16
     with mpmath.workprec(4 * prec):
         want = _horner(x, 4 * prec)
         weight = mpmath.mpf(sum(abs(c) for c in x.num)) / x.den
+        table = weight * (mpmath.mpf(0.5) + mpmath.ldexp(1, -60)) * mpmath.ldexp(1, -frac_bits)
         for part, exact in ((got.re, want.real), (got.im, want.imag)):
             err = abs(part - exact)
-            # table error, plus one rounding to prec + 16 bits
-            rounding = abs(part) * mpmath.ldexp(1, -(prec + 15))
-            assert err <= weight * mpmath.ldexp(1, -(frac_bits + 1)) + rounding
+            # table error, plus one rounding to frac_bits bits
+            rounding = abs(part) * mpmath.ldexp(1, -frac_bits)
+            assert err <= table + rounding
             assert err <= weight * mpmath.ldexp(1, -(prec + 15))
 
 
@@ -344,3 +345,4 @@ def test_fraction_operands_coerce(x, q):
     assert q - x == y - x
     assert (x == q) == (x == y)
     assert y == q
+    assert hash(y) == hash(q)
