@@ -245,7 +245,7 @@ def fourier_word_exact(word, N: int):
     return out
 
 
-def fourier_abelian(h, N: int, precision_bits: int = DEFAULT_PREC_BITS):
+def fourier_abelian(h, N: int):
     """Unitary rho(h) as an mpmath matrix (list of rows), phase-normalized.
 
     h may be an SL2Z matrix or a word over {S, T}.  The result conjugates
@@ -257,11 +257,9 @@ def fourier_abelian(h, N: int, precision_bits: int = DEFAULT_PREC_BITS):
     """
     word = _as_word(h)
     s_count = sum(abs(exp) for letter, exp in word if letter == "S")
-    prec = precision_bits + 16
-    with mpmath.workprec(prec):
+    with mpmath.workprec(DEFAULT_PREC_BITS):
         scale = mpmath.sqrt(N) ** -s_count
-        mat = embed_matrix(fourier_word_exact(word, N), scale, prec)
-        return _phase_normalize(mat, N)
+        return _phase_normalize(embed_matrix(fourier_word_exact(word, N), scale), N)
 
 
 def _phase_normalize(mat, N):
@@ -347,25 +345,17 @@ def matrix_to_heisenberg(mat, N: int) -> HeisAlgElt:
 
 @dataclass(frozen=True)
 class ThetaVector:
-    """Coefficient vector over a named theta-like basis."""
+    """Coefficient vector over the N abelian theta functions."""
 
-    basis_tag: str  # "abelian_theta" or "nonabelian_zeta"
-    size_param: int  # N for the abelian basis, r for the zeta basis
     coeffs: tuple
 
-    def __post_init__(self):
-        want = self.size_param if self.basis_tag == "abelian_theta" else self.size_param - 1
-        if len(self.coeffs) != want:
-            raise ValueError("coefficient length does not match basis")
 
-
-def omega_u1(N: int, precision_bits: int = DEFAULT_PREC_BITS) -> ThetaVector:
+def omega_u1(N: int) -> ThetaVector:
     """The constant vector N^{-1/2} (1, ..., 1); column 0 of rho(S)."""
     if N % 2 or N < 2:
         raise ValueError("N must be even and >= 2")
-    with mpmath.workprec(precision_bits):
-        c = 1 / mpmath.sqrt(N)
-        return ThetaVector("abelian_theta", N, tuple([c] * N))
+    with mpmath.workprec(DEFAULT_PREC_BITS):
+        return ThetaVector(tuple([1 / mpmath.sqrt(N)] * N))
 
 
 # -- Maslov index and the Z-extension ----------------------------------------

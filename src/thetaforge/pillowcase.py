@@ -107,17 +107,19 @@ def wilson_cos_matrix(p: int, q: int, n: int, r: int):
     return acc
 
 
-def equivalence_check(r: int, bound: int = None):
+def equivalence_check(r: int):
     """Compare the cosine quantization with the skein-algebra matrices.
 
     The two models share the ordered basis (zeta_j matches V^j), so the
     unitary equivalence is the identity: the matrices must agree exactly
-    for every (p,q) in the window.
+    for every (p,q) with |p|, |q| <= 3r, (6r+1)^2 pairs: wider than 4r,
+    the period of both operators in p and in q.  The Weyl side folds its
+    indices with its own zeta_fold, not the skein side's index_fold, so
+    the two sides share no code.
     """
     from .rt_torus import rt_rep_matrix
 
-    if bound is None:
-        bound = 3 * r
+    bound = 3 * r
     checked = 0
     mismatches = []
     for p in range(-bound, bound + 1):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import mpmath
 
 from . import linalg
-from .scalar import CycScalar, qint, qint_factorial, t_power
+from .scalar import CycScalar, index_fold, qint, qint_factorial, t_power
 
 
 # -- irreducible representations ----------------------------------------------
@@ -243,13 +243,16 @@ def fusion_from_chebyshev(n: int, r: int) -> FusionElement:
 
 
 def fusion_fold(n: int, r: int) -> FusionElement:
-    """V^n reduced by V^r = 0, V^{r+j} = -V^{r-j}, V^{n+2r} = V^n."""
-    m = n % (2 * r)
-    if m % r == 0:
+    """V^n reduced by V^r = 0, V^{r+j} = -V^{r-j}, V^{n+2r} = V^n.
+
+    The same rule that folds the solid-torus basis and the quantized
+    integers, so it is scalar.index_fold.
+    """
+    sign, idx = index_fold(n, r)
+    if not sign:
         return FusionElement.zero(r)
-    if m < r:
-        return FusionElement.basis(m, r)
-    return -FusionElement.basis(2 * r - m, r)
+    v = FusionElement.basis(idx, r)
+    return v if sign > 0 else -v
 
 
 def fusion_matrix(a: int, r: int):

@@ -178,20 +178,17 @@ def _fold_vec(n: int, r: int, scale):
     return out
 
 
-def project_solid_torus(s: TorusSkein, r: int = None) -> SolidTorusVector:
+def project_solid_torus(s: TorusSkein) -> SolidTorusVector:
     """Image of a skein under gluing the cylinder to the solid torus.
 
     On basis curves, pi((p,q)_T) = t^{-pq} (t^{-2q} S_p(a) - t^{2q} S_{p-2}(a)),
     the multiplication of (p,q)_T into the empty solid torus.  (The same
     recursion pi((p+1,q)) = t^{-q} a pi((p,q)) - t^{-2q} pi((p-1,q)) with
-    pi((0,q)) = t^{2q} + t^{-2q} produces it.)
+    pi((0,q)) = t^{2q} + t^{-2q} produces it.)  The order r is s.mode.
     """
-    if r is None:
-        if s.mode == GENERIC:
-            raise ValueError("projection needs a reduced skein")
-        r = s.mode
-    elif s.mode != r:
-        raise ValueError("mode mismatch")
+    if s.mode == GENERIC:
+        raise ValueError("projection needs a reduced skein")
+    r = s.mode
     acc = [CycScalar.zero(r)] * (r - 1)
     for key, c in s.terms.items():
         if key == UNIT:
@@ -210,7 +207,7 @@ def project_solid_torus(s: TorusSkein, r: int = None) -> SolidTorusVector:
     return SolidTorusVector(r, tuple(acc))
 
 
-def rt_rep_matrix(s, r: int = None):
+def rt_rep_matrix(s, r: int):
     """Matrix of left multiplication on the solid-torus module.
 
     Accepts a TorusSkein or a bare (p, q) pair.  Column j (for V^j) of a
@@ -218,8 +215,6 @@ def rt_rep_matrix(s, r: int = None):
     """
     if isinstance(s, tuple):
         s = TorusSkein.curve(s[0], s[1], r)
-    if r is None:
-        r = s.mode
     if s.mode == GENERIC or s.mode != r:
         raise ValueError("representation needs matching reduced mode")
     n = r - 1
@@ -296,11 +291,9 @@ def eta_numeric(r: int, precision_bits: int = DEFAULT_PREC_BITS):
         return mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(1) / r)
 
 
-def omega_su2(r: int, precision_bits: int = DEFAULT_PREC_BITS) -> SolidTorusVector:
+def omega_su2(r: int) -> SolidTorusVector:
     """The surgery-curve color eta * sum_j [j] V^j, numerically normalized."""
-    (coeffs,) = embed_matrix(
-        [quantum_dimension_vector(r)], eta_numeric(r, precision_bits), precision_bits
-    )
+    (coeffs,) = embed_matrix([quantum_dimension_vector(r)], eta_numeric(r))
     return SolidTorusVector(r, tuple(coeffs))
 
 
@@ -322,9 +315,9 @@ def rho_S_exact(r: int):
     return hopf_gram(r)
 
 
-def rho_S(r: int, precision_bits: int = DEFAULT_PREC_BITS):
+def rho_S(r: int):
     """rho(S) = eta [jk] as a numeric matrix."""
-    return embed_matrix(hopf_gram(r), eta_numeric(r, precision_bits), precision_bits)
+    return embed_matrix(hopf_gram(r), eta_numeric(r))
 
 
 def rho_word_exact(word, r: int):
@@ -352,12 +345,12 @@ def rho_word_exact(word, r: int):
     return out, s_count
 
 
-def rho_word(word, r: int, precision_bits: int = DEFAULT_PREC_BITS):
+def rho_word(word, r: int):
     """Numeric ordered product of generator transforms."""
     exact, s_count = rho_word_exact(word, r)
-    with mpmath.workprec(precision_bits):
-        scale = eta_numeric(r, precision_bits) ** s_count
-    return embed_matrix(exact, scale, precision_bits)
+    with mpmath.workprec(DEFAULT_PREC_BITS):
+        scale = eta_numeric(r) ** s_count
+    return embed_matrix(exact, scale)
 
 
 def curve_transform(h: SL2Z, p: int, q: int):
@@ -410,45 +403,29 @@ class KacPeterson(NamedTuple):
 def _kp_sum(a, b, c, d, r, window):
     """sum over k of t^{cdk^2 + 2bckj + abj^2} zeta_{aj+ck}, folded.
 
-    The integer window sums k over all residues mod 2r; when the summand
-    is ill-defined on the classes of ck (possible for even c) those terms
-    cancel and the transform instead lives on the half-shifted lattice
-    k in Z + 1/2, where the uniform fractional power of t factors into
-    the overall constant.
+    One loop over K = 2k in [start, 4r) in steps of 2: start 0 for the
+    integer window (k over the residues mod 2r), start 1 for the
+    half-integer window k in Z + 1/2.  When the summand is ill-defined on
+    the classes of ck (possible for even c) the integer-window terms
+    cancel and the transform lives on the half-integer window instead,
+    which needs c even (None otherwise).  The exponent is
+    floor(cdK^2/4) + bcKj + abj^2: on the half-integer window the floor
+    drops a uniform t^{1/2}, absorbed by the overall constant.  For c = 0
+    every k gives the same term, so the sum is 2r times that term: the
+    same ray.
     """
+    start = 0 if window == "integer" else 1
+    if start and c % 2:
+        return None
     n = r - 1
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
-    if c == 0:
-        for j in range(1, r):
-            sign, idx = index_fold(a * j, r)
-            if not sign:
-                continue
-            term = t_power(r, a * b * j * j)
-            mat[idx - 1][j - 1] = term if sign == 1 else -term
-        return mat
-    if window == "integer":
-        for j in range(1, r):
-            for k in range(2 * r):
-                sign, idx = index_fold(a * j + c * k, r)
-                if not sign:
-                    continue
-                term = t_power(r, c * d * k * k + 2 * b * c * k * j + a * b * j * j)
-                if sign < 0:
-                    term = -term
-                mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + term
-        return mat
-    if c % 2:
-        return None
-    c0 = c // 2
-    off = (c0 * d) & 1  # uniform t^{1/2}, absorbed by the constant
     for j in range(1, r):
-        for K in range(1, 4 * r, 2):  # k = K/2
-            sign, idx = index_fold(a * j + c0 * K, r)
+        for K in range(start, 4 * r, 2):
+            sign, idx = index_fold(a * j + c * K // 2, r)
             if not sign:
                 continue
-            e = (c0 * d * K * K - off) // 2 + 2 * b * c0 * K * j + a * b * j * j
-            term = t_power(r, e)
+            term = t_power(r, c * d * K * K // 4 + b * c * K * j + a * b * j * j)
             if sign < 0:
                 term = -term
             mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + term

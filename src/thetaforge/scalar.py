@@ -16,8 +16,9 @@ bound stated on CycScalar.embed.
 
 Also provided: quantized integers [n], Chebyshev polynomials of both
 kinds with the downward extensions S_{-1} = 0 and S_{-2} = -1, Laurent
-polynomials over Q for generic-parameter computations, and
-arbitrary-precision complex values (ComplexAP).
+polynomials over Q for generic-parameter computations, and ComplexAP,
+an embedded value at an explicit binary precision (its parts, modulus
+and difference; arithmetic goes through to_mpc).
 """
 from __future__ import annotations
 
@@ -285,9 +286,20 @@ class CycScalar:
     def __truediv__(self, other):
         if isinstance(other, int):
             return CycScalar(self.r, self.num, self.den * other)
+        if isinstance(other, Fraction):
+            return CycScalar(
+                self.r,
+                tuple(c * other.denominator for c in self.num),
+                self.den * other.numerator,
+            )
         if not isinstance(other, CycScalar):
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -682,9 +694,6 @@ class ComplexAP:
     def to_mpc(self):
         return mpmath.mpc(self.re, self.im)
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __abs__(self):
         with mpmath.workprec(self.precision_bits + 16):
             return abs(mpmath.mpc(self.re, self.im))
@@ -695,32 +704,18 @@ class ComplexAP:
             d = self.to_mpc() - (other.to_mpc() if isinstance(other, ComplexAP) else mpmath.mpc(other))
             return ComplexAP(d.real, d.imag, prec)
 
-    def __add__(self, other):
-        prec = max(self.precision_bits, getattr(other, "precision_bits", 0))
-        with mpmath.workprec(prec + 16):
-            d = self.to_mpc() + (other.to_mpc() if isinstance(other, ComplexAP) else mpmath.mpc(other))
-            return ComplexAP(d.real, d.imag, prec)
-
-    def __mul__(self, other):
-        prec = max(self.precision_bits, getattr(other, "precision_bits", 0))
-        with mpmath.workprec(prec + 16):
-            d = self.to_mpc() * (other.to_mpc() if isinstance(other, ComplexAP) else mpmath.mpc(other))
-            return ComplexAP(d.real, d.imag, prec)
-
-    def to_json(self):
-        return {"re": mpmath.nstr(mpmath.mpf(self.re), 17), "im": mpmath.nstr(mpmath.mpf(self.im), 17)}
-
 
 def embed(s: CycScalar, precision_bits: int = DEFAULT_PREC_BITS) -> ComplexAP:
     """Module-level alias for CycScalar.embed."""
     return s.embed(precision_bits)
 
 
-def embed_matrix(mat, scale=1, precision_bits: int = DEFAULT_PREC_BITS):
+def embed_matrix(mat, scale=1):
     """scale times the embedding of each entry of a CycScalar matrix.
 
-    Rows of mpc at precision_bits; scale is one real (or complex) factor,
-    such as the normalisation of a transform whose exact part is mat.
+    Rows of mpc at DEFAULT_PREC_BITS; scale is one real (or complex)
+    factor, such as the normalisation of a transform whose exact part is
+    mat.
     """
-    with mpmath.workprec(precision_bits):
-        return [[scale * x.embed(precision_bits).to_mpc() for x in row] for row in mat]
+    with mpmath.workprec(DEFAULT_PREC_BITS):
+        return [[scale * x.embed().to_mpc() for x in row] for row in mat]

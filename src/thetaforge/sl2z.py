@@ -98,37 +98,6 @@ def sl2z_decompose(h: SL2Z):
     return word
 
 
-def parse_word(text: str):
-    """Parse words like "STTS", "ST^-1S", "T^3 S"."""
-    word = []
-    i = 0
-    text = text.replace(" ", "")
-    while i < len(text):
-        letter = text[i].upper()
-        if letter not in _LETTERS:
-            raise ValueError(f"unknown generator {text[i]!r}")
-        i += 1
-        exp = 1
-        if i < len(text) and text[i] == "^":
-            i += 1
-            j = i
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            exp = int(text[i:j])
-            i = j
-        word.append((letter, exp))
-    return word
-
-
-def format_word(word) -> str:
-    bits = []
-    for letter, exp in word:
-        bits.append(letter if exp == 1 else f"{letter}^{exp}")
-    return "".join(bits) or "I"
-
-
 def random_word(rng, max_len=6):
     n = rng.randint(1, max_len)
     return [(rng.choice("ST"), rng.choice((-1, 1))) for _ in range(n)]

@@ -347,6 +347,34 @@ def test_kac_peterson_random_words():
         assert abs(abs(kp.scalar) - 1) < 1e-10
 
 
+def _exactly_proportional(m1, m2):
+    """m1 = x * m2 for one nonzero scalar x, entry by entry."""
+    i, j = next((i, j) for i, row in enumerate(m2) for j, v in enumerate(row) if v)
+    ratio = m1[i][j] / m2[i][j]
+    return bool(ratio) and all(
+        a == ratio * b for row1, row2 in zip(m1, m2) for a, b in zip(row1, row2)
+    )
+
+
+def test_kac_peterson_c_zero_and_even_c():
+    # c = 0 (h = +-T^b): every k of the sum gives the same term; even c:
+    # the half-integer window is the one that holds at some r
+    c_zero = [SL2Z(s, s * b, 0, s) for s in (1, -1) for b in range(-3, 4)]
+    even_c = [SL2Z(1, 0, 2, 1), SL2Z(1, 1, -2, -1), SL2Z(3, 2, 4, 3), SL2Z(-3, 1, -4, 1)]
+    windows = set()
+    for r in range(2, 9):
+        for h in c_zero + even_c:
+            kp = rho_kac_peterson(h, r)
+            ref, _ = rho_word_exact(sl2z_decompose(h), r)
+            assert _exactly_proportional(kp.matrix, ref), (tuple(h), r)
+            assert abs(abs(kp.scalar) - 1) < 1e-10
+            if h.c:
+                windows.add(kp.window)
+            else:
+                assert kp.window == "integer"
+    assert windows == {"integer", "half-integer"}
+
+
 def test_f_of_twist_solve():
     c = f_of_twist_solve(3)
     kappa = c[0] / t_power(3, 1)

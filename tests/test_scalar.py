@@ -346,3 +346,9 @@ def test_fraction_operands_coerce(x, q):
     assert (x == q) == (x == y)
     assert y == q
     assert hash(y) == hash(q)
+    if q:
+        assert x / q == x / y == x * (1 / q)
+    if x:
+        inv = x.inverse()
+        assert 1 / x == inv
+        assert q / x == y / x == q * inv
