@@ -211,18 +211,12 @@ class RowSpan:
     solve() back-substitutes through that record in reverse order.
     """
 
-    def __init__(self, state=(0, (), ())):
-        """An empty span, or the span whose state() is given."""
-        count, rows, record = state
-        self.count, self.rows, self.record = count, list(rows), list(record)
+    def __init__(self):
+        self.count, self.rows, self.record = 0, [], []
 
     @property
     def rank(self):
         return len(self.rows)
-
-    def state(self):
-        """The span as nested tuples, immutable and hashable."""
-        return self.count, tuple(self.rows), tuple(self.record)
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""

@@ -47,12 +47,11 @@ def weyl_cos_matrix(obs, r: int):
     n = r - 1
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
-    pref = t_power(r, -p * q)
     for j in range(1, r):
         for target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
             sign, idx = zeta_fold(target, r)
             if sign:
-                term = pref * t_power(r, phase)
+                term = t_power(r, phase - p * q)
                 if sign < 0:
                     term = -term
                 mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + term

@@ -195,12 +195,11 @@ def project_solid_torus(s: TorusSkein) -> SolidTorusVector:
             vec = _fold_vec(1, r, c)
         else:
             p, q = key
-            pref = c * t_power(r, -p * q)
             vec = [
                 a + b
                 for a, b in zip(
-                    _fold_vec(p + 1, r, pref * t_power(r, -2 * q)),
-                    _fold_vec(p - 1, r, -pref * t_power(r, 2 * q)),
+                    _fold_vec(p + 1, r, c * t_power(r, -p * q - 2 * q)),
+                    _fold_vec(p - 1, r, -c * t_power(r, -p * q + 2 * q)),
                 )
             ]
         acc = [a + b for a, b in zip(acc, vec)]
@@ -226,13 +225,12 @@ def rt_rep_matrix(s, r: int):
                 mat[j][j] = mat[j][j] + c
             continue
         p, q = key
-        pref = c * t_power(r, -p * q)
         for j in range(1, r):
             col = j - 1
             for n_target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
                 sign, idx = index_fold(n_target, r)
                 if sign:
-                    term = pref * t_power(r, phase)
+                    term = c * t_power(r, phase - p * q)
                     if sign < 0:
                         term = -term
                     mat[idx - 1][col] = mat[idx - 1][col] + term
@@ -411,17 +409,18 @@ def _kp_sum(a, b, c, d, r, window):
     which needs c even (None otherwise).  The exponent is
     floor(cdK^2/4) + bcKj + abj^2: on the half-integer window the floor
     drops a uniform t^{1/2}, absorbed by the overall constant.  For c = 0
-    every k gives the same term, so the sum is 2r times that term: the
-    same ray.
+    every k gives the same term, so one K stands for the sum (1/2r of it,
+    the same ray).
     """
     start = 0 if window == "integer" else 1
     if start and c % 2:
         return None
+    stop = 4 * r if c else start + 1
     n = r - 1
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
     for j in range(1, r):
-        for K in range(start, 4 * r, 2):
+        for K in range(start, stop, 2):
             sign, idx = index_fold(a * j + c * K // 2, r)
             if not sign:
                 continue
@@ -491,46 +490,53 @@ def _exact_proportionality(m1, m2, r):
 
 # -- reconstruction and presentation ------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _spanning_basis(r: int):
-    """Curve classes whose representation matrices span all matrices.
-
-    Returns (fed_curves, state): state is the RowSpan.state() of their
-    matrices, fed in order, so the cached value is immutable.  The curves
-    (0,q), q <= r-2, and (p,q), 1 <= p <= r-2, q < 2(r-1-p), go first:
-    for r = 2..12 they are exactly those a greedy pass over the [0,2r)^2
-    window keeps, (r-1)^2 of them.  The rest of the window follows.
-    """
-    need = (r - 1) * (r - 1)
-    first = [(0, q) for q in range(r - 1)]
-    first += [(p, q) for p in range(1, r - 1) for q in range(2 * (r - 1 - p))]
-    window = [(p, q) for p in range(2 * r) for q in range(2 * r)]
+def _solve_level(mat, p, r):
+    """{q: c_q}, c_q nonzero, over the curves (p, q) of K(r) that give mat's shift-p entries."""
     span = linalg.RowSpan()
-    fed = []
-    for curve in dict.fromkeys(first + window):
-        if span.rank == need:
-            break
-        fed.append(curve)
-        span.add(linalg.flatten(rt_rep_matrix(curve, r)))
-    if span.rank != need:
-        raise ArithmeticError(
-            f"no spanning set of curve operators in the [0,{2 * r})^2 window"
-        )
-    return tuple(fed), span.state()
+    if not p:
+        for q in range(r - 1):
+            span.add([t_power(r, 2 * q * j) + t_power(r, -2 * q * j) for j in range(1, r)])
+        return span.solve([mat[j][j] for j in range(r - 1)])
+    nodes = range(1, r - p)
+    for k in range(r - 1 - p):
+        span.add([t_power(r, (2 * p + 4 * a) * k) for a in nodes])
+    pairs = [(mat[a - 1][a + p - 1], mat[r - a - 1][r - p - a - 1]) for a in nodes]
+    even = span.solve([(u + d) / 2 for u, d in pairs])
+    odd = span.solve([(u - d) / 2 * t_power(r, -p - 2 * a) for a, (u, d) in zip(nodes, pairs)])
+    return {2 * k: c for k, c in even.items()} | {2 * k + 1: c for k, c in odd.items()}
 
 
 def skein_from_matrix(mat, r: int) -> TorusSkein:
-    """Exact skein (over a fixed spanning set of curves) representing mat."""
+    """The skein over the curve basis K(r) whose operator is mat.
+
+    K(r) = {(0,q): q <= r-2} U {(p,q): 1 <= p <= r-2, q < 2(r-1-p)}.  Curve
+    (p,q) fills the entries of shift |i-j| = p and folds the rest to lower
+    shifts, so levels p = r-2, ..., 0 are solved in turn, each after the
+    higher levels' operators are subtracted.  With h = r-1-p, y_a = t^{p+2a}
+    and C(x) = sum_q c_q x^q, level p >= 1 reads C(y_a) at entry (a, a+p) and
+    C(-y_a) at (r-a, r-p-a), a = 1..h (1-based): the even and odd parts of C
+    solve one h x h Vandermonde system at z_a = t^{2p+4a}, distinct since t^4
+    is a primitive r-th root and a < r.  Level 0 is the Chebyshev system
+    sum_q c_q (t^{2qj} + t^{-2qj}) = mat[j][j] at the distinct nodes
+    2cos(pi j/r).  Every level is nonsingular, so K(r) is a basis; the exact
+    zero residual after level 0 certifies the result.  mat is not modified.
+    """
     n = r - 1
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix size must be (r-1) x (r-1)")
-    fed, state = _spanning_basis(r)
-    combo = linalg.RowSpan(state).solve(linalg.flatten(mat))
-    if combo is None:
+    if any(type(x) is not CycScalar for row in mat for x in row):
+        raise TypeError("skein_from_matrix needs CycScalar entries")
+    if any(x.r != r for row in mat for x in row):
+        raise ValueError(f"skein_from_matrix needs entries of order r={r}")
+    out, rest = TorusSkein.zero(r), mat
+    for p in range(r - 2, -1, -1):
+        level = TorusSkein.zero(r)
+        for q, c in _solve_level(rest, p, r).items():
+            level = level + TorusSkein.curve(p, q, r).scaled(c)
+        rest = linalg.mat_sub(rest, rt_rep_matrix(level, r))
+        out = out + level
+    if not linalg.mat_is_zero(rest):
         raise ArithmeticError("matrix escaped the curve-operator span")
-    out = TorusSkein.zero(r)
-    for idx, coeff in combo.items():
-        out = out + TorusSkein.curve(*fed[idx], r).scaled(coeff)
     return out
 
 

@@ -180,21 +180,6 @@ def test_rowspan_matches_dense_elimination(case, data):
         assert _combine(coeffs, vectors, r, dim) == target
 
 
-def test_rowspan_state_round_trip():
-    r = 5
-    vectors = [[t_power(r, i * j) for j in range(4)] for i in range(3)]
-    span = linalg.RowSpan()
-    for v in vectors + vectors[:1]:
-        span.add(v)
-    state = span.state()
-    hash(state)
-    again = linalg.RowSpan(state)
-    target = [a + b for a, b in zip(vectors[0], vectors[2])]
-    assert again.rank == 3 and again.solve(target) == span.solve(target)
-    assert again.add(vectors[1]) is False and again.count == span.count + 1
-    assert span.state() == state
-
-
 @st.composite
 def _square(draw):
     r = draw(st.integers(2, 7))

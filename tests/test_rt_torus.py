@@ -8,7 +8,6 @@ from thetaforge.rt_torus import (
     GENERIC,
     UNIT,
     TorusSkein,
-    _spanning_basis,
     curve_transform,
     eta_inverse_square,
     eta_numeric,
@@ -32,7 +31,7 @@ from thetaforge.rt_torus import (
     twist_skein_matrix,
     wilson_matrix,
 )
-from thetaforge.scalar import CycScalar, LaurentPoly, qint, t_power
+from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi, qint, t_power
 from thetaforge.sl2z import S, SL2Z, T, random_word, sl2z_decompose, word_matrix
 
 
@@ -372,6 +371,9 @@ def test_kac_peterson_c_zero_and_even_c():
                 windows.add(kp.window)
             else:
                 assert kp.window == "integer"
+                # one K term per column: each nonzero entry is a root of unity
+                roots = {t_power(r, e) for e in range(4 * r)}
+                assert all(x in roots for row in kp.matrix for x in row if x), (tuple(h), r)
     assert windows == {"integer", "half-integer"}
 
 
@@ -409,11 +411,54 @@ def test_skein_from_matrix():
 
 
 @pytest.mark.parametrize("r", range(2, 11))
-def test_spanning_basis_feeds_only_kept_curves(r):
-    basis = _spanning_basis(r)
-    hash(basis)  # the cached value is immutable, so callers cannot change each other's basis
-    fed, state = basis
-    assert len(fed) == (r - 1) ** 2 == linalg.RowSpan(state).rank
+def test_level_solve_matches_rowspan_oracle(r):
+    # oracle: one RowSpan over the flattened operators of K(r), fed in order
+    basis = [(0, q) for q in range(r - 1)]
+    basis += [(p, q) for p in range(1, r - 1) for q in range(2 * (r - 1 - p))]
+    oracle = linalg.RowSpan()
+    for curve in basis:
+        oracle.add(linalg.flatten(rt_rep_matrix(curve, r)))
+    assert oracle.rank == (r - 1) ** 2 == len(basis)
+    rng = random.Random(r)
+    phi = euler_phi(4 * r)
+    mats = [rho_word_exact(random_word(rng, 6), r)[0] for _ in range(3)]
+    mats += [
+        [[CycScalar(r, [rng.randint(-4, 4) for _ in range(phi)], rng.randint(1, 12))
+          for _ in range(r - 1)] for _ in range(r - 1)]
+        for _ in range(2)
+    ]
+    for m in mats:
+        expected = TorusSkein.zero(r)
+        for idx, c in oracle.solve(linalg.flatten(m)).items():
+            expected = expected + TorusSkein.curve(*basis[idx], r).scaled(c)
+        assert skein_from_matrix(m, r) == expected
+
+
+def test_skein_from_matrix_round_trip_r16():
+    r = 16
+    m, _ = rho_word_exact([("S", 1), ("T", 2), ("S", -1), ("T", -1), ("S", 1)], r)
+    assert linalg.mat_eq(rt_rep_matrix(skein_from_matrix(m, r), r), m)
+
+
+def test_skein_from_matrix_rejects_bad_entries():
+    r = 4
+    good = rt_rep_matrix((1, 1), r)
+    with pytest.raises(TypeError, match="CycScalar"):
+        skein_from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], r)
+    with pytest.raises(TypeError, match="CycScalar"):
+        skein_from_matrix([row[:2] + [0.5] for row in good], r)
+    with pytest.raises(ValueError, match="order"):
+        skein_from_matrix(linalg.mat_identity(r - 1, CycScalar.one(r + 1)), r)
+    with pytest.raises(ValueError, match="size"):
+        skein_from_matrix(good[:2], r)
+
+
+def test_skein_from_matrix_leaves_input_unchanged():
+    r = 6
+    m, _ = rho_word_exact([("S", 1), ("T", 1), ("S", 1)], r)
+    before = [list(row) for row in m]
+    skein_from_matrix(m, r)
+    assert m == before and all(type(row) is list for row in m)
 
 
 def test_presentation_check():
