@@ -31,7 +31,7 @@ import mpmath
 
 from .scalar import CycScalar, DEFAULT_PREC_BITS, embed_matrix
 from . import linalg
-from .sl2z import IDENTITY, S, T, SL2Z, sl2z_decompose
+from .sl2z import S, T, SL2Z, _word_product, sl2z_decompose
 
 
 class HeisElt(NamedTuple):
@@ -88,14 +88,12 @@ def t_heis(N: int, e: int) -> CycScalar:
 
 
 def schrodinger_matrix(e: FiniteHeisElt):
-    """N x N matrix of (p,q,k): theta_j -> t^{k-pq-2jq} theta_{j+p}."""
+    """N x N matrix of (p,q,k): theta_j -> t^{k-pq-2jq} theta_{j+p}.
+
+    That is the group-algebra action of t^k b(p,q).
+    """
     N, p, q, k = e
-    r = _field_order(N)
-    zero = CycScalar.zero(r)
-    mat = [[zero] * N for _ in range(N)]
-    for j in range(N):
-        mat[(j + p) % N][j] = t_heis(N, k - p * q - 2 * j * q)
-    return mat
+    return algebra_rep(HeisAlgElt.basis(N, p, q, t_heis(N, k)))
 
 
 class HeisAlgElt:
@@ -202,11 +200,7 @@ _OBS_IMAGE = {"S": S, "T": T.transpose()}
 
 
 def observable_action_matrix(word_or_h) -> SL2Z:
-    word = _as_word(word_or_h)
-    out = IDENTITY
-    for letter, exp in word:
-        out = out * (_OBS_IMAGE[letter] ** exp)
-    return out
+    return _word_product(_as_word(word_or_h), _OBS_IMAGE)
 
 
 def _as_word(word_or_h):

@@ -125,12 +125,7 @@ def equivalence_check(r: int):
         for q in range(-bound, bound + 1):
             checked += 1
             lhs = weyl_cos_matrix(CosObservable(p, q), r)
-            if p == 0 and q == 0:
-                rhs = linalg.mat_scale(
-                    CycScalar.from_int(2, r), linalg.mat_identity(r - 1, CycScalar.one(r))
-                )
-            else:
-                rhs = rt_rep_matrix((p, q), r)
+            rhs = rt_rep_matrix((p, q), r)
             if not linalg.mat_eq(lhs, rhs):
                 mismatches.append(
                     {
@@ -143,25 +138,41 @@ def equivalence_check(r: int):
     return {"r": r, "checked": checked, "mismatches": mismatches}
 
 
-def generated_algebra_span(r: int):
-    """Exact span of words in the two generating cosine operators."""
-    gens = [
-        weyl_cos_matrix(CosObservable(1, 0), r),
-        weyl_cos_matrix(CosObservable(0, 1), r),
-    ]
-    n = r - 1
+def _spin(gens, start, act, flat, dim):
+    """RowSpan of flat(start) and flat(act(g, ...)) over words in gens.
+
+    Breadth first: each round applies every generator to the elements the
+    previous round added.  It returns as soon as the rank reaches dim; a
+    full span cannot grow, so the stop is exact.
+    """
     span = linalg.RowSpan()
-    frontier = [linalg.mat_identity(n, CycScalar.one(r))]
-    span.add(linalg.flatten(frontier[0]))
-    while frontier:
+    span.add(flat(start))
+    frontier = [start]
+    while frontier and span.rank < dim:
         new = []
         for m in frontier:
             for g in gens:
-                cand = linalg.mat_mul(g, m)
-                if span.add(linalg.flatten(cand)):
+                cand = act(g, m)
+                if span.add(flat(cand)):
+                    if span.rank == dim:
+                        return span
                     new.append(cand)
         frontier = new
     return span
+
+
+def _generators(r):
+    """Op(2cos 2pi x) and Op(2cos 2pi y), which generate the cosine algebra."""
+    return [weyl_cos_matrix(CosObservable(1, 0), r), weyl_cos_matrix(CosObservable(0, 1), r)]
+
+
+def _algebra_span(gens, ident):
+    return _spin(gens, ident, linalg.mat_mul, linalg.flatten, len(ident) ** 2)
+
+
+def generated_algebra_span(r: int):
+    """Exact span of words in the two generating cosine operators."""
+    return _algebra_span(_generators(r), linalg.mat_identity(r - 1, CycScalar.one(r)))
 
 
 def svn_irreducibility(r: int):
@@ -172,33 +183,15 @@ def svn_irreducibility(r: int):
     that algebra must be everything, and its commutant must be scalars.
     """
     n = r - 1
-    gens = [
-        weyl_cos_matrix(CosObservable(1, 0), r),
-        weyl_cos_matrix(CosObservable(0, 1), r),
-    ]
-    cyclic = []
-    for j in range(n):
-        vec = [CycScalar.one(r) if i == j else CycScalar.zero(r) for i in range(n)]
-        span = linalg.RowSpan()
-        span.add(vec)
-        frontier = [vec]
-        while frontier and span.rank < n:
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = linalg.mat_vec(g, v)
-                    if span.add(w):
-                        new.append(w)
-            frontier = new
-        cyclic.append(span.rank == n)
-    algebra_dim = generated_algebra_span(r).rank
-    commutant_dim = _commutant_dimension(gens, n, r)
+    gens = _generators(r)
+    ident = linalg.mat_identity(n, CycScalar.one(r))
+    cyclic = [_spin(gens, e, linalg.mat_vec, list, n).rank == n for e in ident]
     return {
         "r": r,
         "cyclic": cyclic,
         "all_cyclic": all(cyclic),
-        "algebra_dimension": algebra_dim,
-        "commutant_dimension": commutant_dim,
+        "algebra_dimension": _algebra_span(gens, ident).rank,
+        "commutant_dimension": _commutant_dimension(gens, n, r),
     }
 
 

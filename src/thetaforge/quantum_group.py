@@ -354,6 +354,8 @@ def vertex_admissible(m: int, n: int, p: int, r: int) -> bool:
 
 def admissible_colorings(graph: TrivalentGraph, r: int):
     """(count, colorings): exhaustive backtracking over edge colors."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
     edges = graph.edges
     if not graph.vertices:
         colorings = [{0: c} for c in range(1, r)]
@@ -397,6 +399,8 @@ def verlinde_numeric(genus: int, r: int) -> float:
     """sum_j (eta [j])^{2-2g}; the numeric count of admissible colorings."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
+    if r < 2:
+        raise ValueError("r must be >= 2")
     with mpmath.workprec(80):
         total = mpmath.mpf(0)
         for j in range(1, r):

@@ -169,41 +169,16 @@ class SolidTorusVector:
             raise ValueError("coefficient length must be r-1")
 
 
-def _fold_vec(n: int, r: int, scale):
-    """scale * V^n expanded over the folded basis, as a list."""
-    out = [CycScalar.zero(r)] * (r - 1)
-    sign, idx = index_fold(n, r)
-    if sign:
-        out[idx - 1] = scale if sign == 1 else -scale
-    return out
-
-
 def project_solid_torus(s: TorusSkein) -> SolidTorusVector:
     """Image of a skein under gluing the cylinder to the solid torus.
 
     On basis curves, pi((p,q)_T) = t^{-pq} (t^{-2q} S_p(a) - t^{2q} S_{p-2}(a)),
-    the multiplication of (p,q)_T into the empty solid torus.  (The same
-    recursion pi((p+1,q)) = t^{-q} a pi((p,q)) - t^{-2q} pi((p-1,q)) with
-    pi((0,q)) = t^{2q} + t^{-2q} produces it.)  The order r is s.mode.
+    the multiplication of (p,q)_T into the empty solid torus V^1: column
+    V^1 of rt_rep_matrix.  The order r is s.mode.
     """
     if s.mode == GENERIC:
         raise ValueError("projection needs a reduced skein")
-    r = s.mode
-    acc = [CycScalar.zero(r)] * (r - 1)
-    for key, c in s.terms.items():
-        if key == UNIT:
-            vec = _fold_vec(1, r, c)
-        else:
-            p, q = key
-            vec = [
-                a + b
-                for a, b in zip(
-                    _fold_vec(p + 1, r, c * t_power(r, -p * q - 2 * q)),
-                    _fold_vec(p - 1, r, -c * t_power(r, -p * q + 2 * q)),
-                )
-            ]
-        acc = [a + b for a, b in zip(acc, vec)]
-    return SolidTorusVector(r, tuple(acc))
+    return SolidTorusVector(s.mode, tuple(row[0] for row in rt_rep_matrix(s, s.mode)))
 
 
 def rt_rep_matrix(s, r: int):
@@ -299,13 +274,18 @@ def quantum_dimension_vector(r: int):
     return [qint(j, r) for j in range(1, r)]
 
 
-def rho_T(r: int):
-    """diag(t^{j^2 - 1}), the positive-twist transform (exact)."""
+def _twist_diag(r: int, e: int):
+    """diag(t^{e(j^2 - 1)}), j = 1..r-1: rho(T)^e."""
     zero = CycScalar.zero(r)
     return [
-        [t_power(r, j * j - 1) if i == j - 1 else zero for j in range(1, r)]
+        [t_power(r, e * (j * j - 1)) if i == j - 1 else zero for j in range(1, r)]
         for i in range(r - 1)
     ]
+
+
+def rho_T(r: int):
+    """diag(t^{j^2 - 1}), the positive-twist transform (exact)."""
+    return _twist_diag(r, 1)
 
 
 def rho_S_exact(r: int):
@@ -322,8 +302,7 @@ def rho_word_exact(word, r: int):
     """(matrix, s_count): exact part of the word product; true value is
     eta^s_count times the matrix.  rho(S)^{-1} = rho(S), so inverse S
     letters reuse the Gram matrix."""
-    n = r - 1
-    out = linalg.mat_identity(n, CycScalar.one(r))
+    out = linalg.mat_identity(r - 1, CycScalar.one(r))
     s_count = 0
     gram = hopf_gram(r)
     for letter, exp in word:
@@ -332,12 +311,7 @@ def rho_word_exact(word, r: int):
                 out = linalg.mat_mul(out, gram)
                 s_count += 1
         elif letter == "T":
-            zero = CycScalar.zero(r)
-            diag = [
-                [t_power(r, exp * (j * j - 1)) if i == j - 1 else zero for j in range(1, r)]
-                for i in range(n)
-            ]
-            out = linalg.mat_mul(out, diag)
+            out = linalg.mat_mul(out, _twist_diag(r, exp))
         else:
             raise ValueError(f"unknown generator {letter!r}")
     return out, s_count

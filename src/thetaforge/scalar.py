@@ -365,15 +365,6 @@ class CycScalar:
             precision_bits,
         )
 
-    def to_complex(self) -> complex:
-        """Fast double-precision value (for numeric sweeps, not certified)."""
-        m = 4 * self.r
-        root = _float_root(m)
-        acc = 0j
-        for c in reversed(self.num):
-            acc = acc * root + c
-        return acc / self.den
-
     def to_json(self):
         return {"r": self.r, "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs]}
 
@@ -401,13 +392,6 @@ class CycScalar:
                 terms.append(f"{c}*z^{e}")
         body = " + ".join(terms) if terms else "0"
         return f"CycScalar(r={self.r}: {body})"
-
-
-@functools.lru_cache(maxsize=None)
-def _float_root(m):
-    import cmath
-
-    return cmath.exp(2j * cmath.pi / m)
 
 
 @functools.lru_cache(maxsize=None)

@@ -67,9 +67,16 @@ _LETTERS = {"S": S, "T": T}
 
 
 def word_matrix(word) -> SL2Z:
+    return _word_product(word, _LETTERS)
+
+
+def _word_product(word, images) -> SL2Z:
+    """The product of images[letter] ** exp over the word, in order."""
     out = IDENTITY
     for letter, exp in word:
-        out = out * (_LETTERS[letter] ** exp)
+        if letter not in images:
+            raise ValueError(f"unknown generator {letter!r}")
+        out = out * (images[letter] ** exp)
     return out
 
 

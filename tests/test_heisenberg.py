@@ -103,7 +103,7 @@ def test_heis_reduce_is_homomorphism_on_huge_labels(N, x, y):
 
 
 def _mat_complex(mat):
-    return [[x.to_complex() for x in row] for row in mat]
+    return [[complex(x.embed().to_mpc()) for x in row] for row in mat]
 
 
 def test_schrodinger_matrix_n2():
@@ -212,11 +212,13 @@ def test_exact_egorov_generators():
         assert _exact_egorov_ok([("T", 1)], N)
 
 
-def test_exact_egorov_words():
-    rng = random.Random(6)
-    for N in (2, 4):
-        for _ in range(12):
-            assert _exact_egorov_ok(random_word(rng, 5), N)
+_WORD = st.lists(st.tuples(st.sampled_from("ST"), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4).map(lambda h: 2 * h), _WORD)
+def test_exact_egorov_words(N, word):
+    assert _exact_egorov_ok(word, N)
 
 
 def test_fourier_abelian_generator_values():
@@ -300,7 +302,7 @@ def test_f_of_t_rep_unitary_scaled():
 
 def test_f_of_t_matches_fourier_t():
     for N in (2, 4, 6):
-        rep = [[x.to_complex() for x in row] for row in algebra_rep(f_of_t_skein(N))]
+        rep = _mat_complex(algebra_rep(f_of_t_skein(N)))
         ft = [[complex(x) for x in row] for row in fourier_abelian(T, N)]
         ratio = rep[0][0] / ft[0][0]
         assert abs(abs(ratio) - N**0.5) < 1e-12
@@ -419,6 +421,12 @@ def test_sl2z_decompose_round_trip():
         assert word_matrix(sl2z_decompose(h)) == h
     assert sl2z_decompose(T) == [("T", 1)]
     assert sl2z_decompose(S) == [("S", 1)]
+
+
+@pytest.mark.parametrize("to_matrix", [word_matrix, observable_action_matrix])
+def test_word_rejects_unknown_letter(to_matrix):
+    with pytest.raises(ValueError, match="unknown generator 'X'"):
+        to_matrix([("S", 1), ("X", 1)])
 
 
 def _fourier_generator_product(word, N, prec):

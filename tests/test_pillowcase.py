@@ -5,7 +5,9 @@ import pytest
 from thetaforge import linalg
 from thetaforge.pillowcase import (
     CosObservable,
+    _spin,
     equivalence_check,
+    generated_algebra_span,
     svn_irreducibility,
     weyl_cos_matrix,
     wilson_cos_matrix,
@@ -28,7 +30,7 @@ def test_weyl_diagonal_observable():
 
 
 def test_weyl_shift_observable_r3():
-    got = [[x.to_complex() for x in row] for row in weyl_cos_matrix(CosObservable(1, 0), 3)]
+    got = [[complex(x.embed().to_mpc()) for x in row] for row in weyl_cos_matrix(CosObservable(1, 0), 3)]
     assert got == [[0, 1], [1, 0]]
 
 
@@ -47,11 +49,11 @@ def test_weyl_self_adjoint():
     for r in (3, 5):
         for _ in range(15):
             p, q = rng.randint(-5, 5), rng.randint(-5, 5)
-            m = [[x.to_complex() for x in row] for row in weyl_cos_matrix(CosObservable(p, q), r)]
+            m = weyl_cos_matrix(CosObservable(p, q), r)
             n = r - 1
             for i in range(n):
                 for j in range(n):
-                    assert abs(m[i][j] - m[j][i].conjugate()) < 1e-12
+                    assert m[i][j] == m[j][i].conjugate()
 
 
 def test_zeta_fold_involution():
@@ -104,8 +106,23 @@ def test_equivalence_spot_r3():
 
 
 def test_svn_irreducibility():
-    for r in range(2, 7):
+    for r in range(2, 9):
         report = svn_irreducibility(r)
         assert report["all_cyclic"]
         assert report["algebra_dimension"] == (r - 1) ** 2
         assert report["commutant_dimension"] == 1
+
+
+def test_spin_stops_only_at_full_rank():
+    # Y = Op(2cos 2pi y) is diagonal with distinct entries, so the algebra it
+    # generates is the r-1 diagonal matrices and e_1 spans only itself.
+    r, n = 5, 4
+    y = weyl_cos_matrix(CosObservable(0, 1), r)
+    ident = linalg.mat_identity(n, CycScalar.one(r))
+    assert _spin([y], ident, linalg.mat_mul, linalg.flatten, n * n).rank == n
+    assert _spin([y], ident[0], linalg.mat_vec, list, n).rank == 1
+
+
+def test_generated_algebra_span_is_full():
+    for r in range(2, 7):
+        assert generated_algebra_span(r).rank == (r - 1) ** 2

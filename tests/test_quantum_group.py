@@ -203,3 +203,16 @@ def test_verlinde_numeric_matches_counts():
             graph = caterpillar_graph(genus)
             count, _ = admissible_colorings(graph, r)
             assert abs(verlinde_numeric(genus, r) - count) < 1e-6, (genus, r)
+
+
+@pytest.mark.parametrize("graph", [circle_graph(), theta_graph(), dumbbell_graph()])
+@pytest.mark.parametrize("r", [-1, 0, 1])
+def test_admissible_colorings_rejects_small_r(graph, r):
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        admissible_colorings(graph, r)
+
+
+@pytest.mark.parametrize("r", [-1, 0, 1])
+def test_verlinde_numeric_rejects_small_r(r):
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        verlinde_numeric(2, r)

@@ -2,6 +2,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaforge import linalg
 from thetaforge.rt_torus import (
@@ -112,7 +114,7 @@ def test_project_matches_rep_column_one():
 
 
 def _cplx(mat):
-    return [[x.to_complex() for x in row] for row in mat]
+    return [[complex(x.embed().to_mpc()) for x in row] for row in mat]
 
 
 def test_rt_rep_examples():
@@ -222,7 +224,7 @@ def test_rho_t():
     got = rho_T(3)
     assert got[0][0] == CycScalar.one(3)
     assert got[1][1] == t_power(3, 3)
-    assert abs(got[1][1].to_complex() - 1j) < 1e-14
+    assert abs(complex(got[1][1].embed().to_mpc()) - 1j) < 1e-14
     for r in range(2, 13):
         mat = rho_T(r)
         assert mat[0][0] == CycScalar.one(r)
@@ -301,13 +303,19 @@ def _exact_egorov_rt(word, r, bound=4):
     return True
 
 
-def test_exact_egorov_rt():
-    rng = random.Random(4)
+def test_exact_egorov_rt_generators():
     for r in (2, 3, 4, 5):
         assert _exact_egorov_rt([("S", 1)], r)
         assert _exact_egorov_rt([("T", 1)], r)
-        for _ in range(6):
-            assert _exact_egorov_rt(random_word(rng, 5), r, bound=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.lists(st.tuples(st.sampled_from("ST"), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5),
+)
+def test_exact_egorov_rt(r, word):
+    assert _exact_egorov_rt(word, r, bound=3)
 
 
 def test_kac_peterson_generators():

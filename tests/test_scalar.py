@@ -70,18 +70,26 @@ def test_qint_chebyshev_identity():
             assert lhs == rhs, (r, n)
 
 
-def test_field_laws_random():
-    rng = random.Random(0)
-    for r in range(2, 13):
-        deg = euler_phi(4 * r)
-        for _ in range(60):
-            a, b, c = (
-                CycScalar(r, [rng.randint(-4, 4) for _ in range(deg)], rng.randint(1, 5))
-                for _ in range(3)
-            )
-            assert (a + b) * c == a * c + b * c
-            if not a.is_zero():
-                assert a * a.inverse() == CycScalar.one(r)
+@st.composite
+def _field_triple(draw):
+    """Three elements of one Q(zeta_4r), r in [2, 24]: coefficients up to
+    +-10**6, denominators up to 10**3."""
+    r = draw(st.integers(2, 24))
+    phi = euler_phi(4 * r)
+    coeffs = st.lists(st.integers(-(10**6), 10**6), min_size=phi, max_size=phi)
+    return tuple(CycScalar(r, draw(coeffs), draw(st.integers(1, 10**3))) for _ in range(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_triple())
+def test_field_laws_random(triple):
+    a, b, c = triple
+    assert (a + b) * c == a * c + b * c
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+    if not a.is_zero():
+        assert a * a.inverse() == CycScalar.one(a.r)
 
 
 def test_division():
