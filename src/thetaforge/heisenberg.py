@@ -90,9 +90,11 @@ def t_heis(N: int, e: int) -> CycScalar:
 def schrodinger_matrix(e: FiniteHeisElt):
     """N x N matrix of (p,q,k): theta_j -> t^{k-pq-2jq} theta_{j+p}.
 
-    That is the group-algebra action of t^k b(p,q).
+    That is the group-algebra action of t^k b(p,q), after (p,q,k) is
+    reduced as an element of H(Z): the basis b(p,q) folds p and q mod N
+    without the compensating k shift.
     """
-    N, p, q, k = e
+    N, p, q, k = heis_reduce(HeisElt(e.p, e.q, e.k), e.N)
     return algebra_rep(HeisAlgElt.basis(N, p, q, t_heis(N, k)))
 
 

@@ -139,11 +139,12 @@ def equivalence_check(r: int):
 
 
 def _spin(gens, start, act, flat, dim):
-    """RowSpan of flat(start) and flat(act(g, ...)) over words in gens.
+    """RowSpan of flat(w(start)) over the words w in gens, g acting by act(g, m).
 
     Breadth first: each round applies every generator to the elements the
-    previous round added.  It returns as soon as the rank reaches dim; a
-    full span cannot grow, so the stop is exact.
+    previous round added, so an element that enlarged nothing is never
+    expanded.  It returns as soon as the rank reaches dim: a full span
+    cannot grow, so the stop is exact.
     """
     span = linalg.RowSpan()
     span.add(flat(start))

@@ -127,6 +127,13 @@ def test_schrodinger_homomorphism_exact():
             assert linalg.mat_eq(lhs, rhs)
 
 
+def test_schrodinger_matrix_reduces_labels():
+    # a hand-built label outside the canonical ranges acts as its H(Z) class
+    for N, label in ((4, (5, 1, 0)), (6, (-7, 9, 13)), (2, (3, -3, 5))):
+        got = schrodinger_matrix(FiniteHeisElt(N, *label))
+        assert linalg.mat_eq(got, schrodinger_matrix(heis_reduce(HeisElt(*label), N)))
+
+
 def test_central_character():
     for N in (2, 4, 6):
         for k in range(2 * N):
@@ -212,7 +219,9 @@ def test_exact_egorov_generators():
         assert _exact_egorov_ok([("T", 1)], N)
 
 
-_WORD = st.lists(st.tuples(st.sampled_from("ST"), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5)
+_WORD = st.lists(
+    st.tuples(st.sampled_from("ST"), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5
+)
 
 
 @settings(max_examples=25, deadline=None)

@@ -30,8 +30,8 @@ def test_weyl_diagonal_observable():
 
 
 def test_weyl_shift_observable_r3():
-    got = [[complex(x.embed().to_mpc()) for x in row] for row in weyl_cos_matrix(CosObservable(1, 0), 3)]
-    assert got == [[0, 1], [1, 0]]
+    mat = weyl_cos_matrix(CosObservable(1, 0), 3)
+    assert [[complex(x.embed().to_mpc()) for x in row] for row in mat] == [[0, 1], [1, 0]]
 
 
 def test_weyl_even_in_pq():

@@ -309,11 +309,13 @@ def test_exact_egorov_rt_generators():
         assert _exact_egorov_rt([("T", 1)], r)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(2, 8),
-    st.lists(st.tuples(st.sampled_from("ST"), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5),
+_WORD = st.lists(
+    st.tuples(st.sampled_from("ST"), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5
 )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), _WORD)
 def test_exact_egorov_rt(r, word):
     assert _exact_egorov_rt(word, r, bound=3)
 
