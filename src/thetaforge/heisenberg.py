@@ -90,12 +90,9 @@ def t_heis(N: int, e: int) -> CycScalar:
 def schrodinger_matrix(e: FiniteHeisElt):
     """N x N matrix of (p,q,k): theta_j -> t^{k-pq-2jq} theta_{j+p}.
 
-    That is the group-algebra action of t^k b(p,q), after (p,q,k) is
-    reduced as an element of H(Z): the basis b(p,q) folds p and q mod N
-    without the compensating k shift.
+    That is the group-algebra action of t^k b(p,q).
     """
-    N, p, q, k = heis_reduce(HeisElt(e.p, e.q, e.k), e.N)
-    return algebra_rep(HeisAlgElt.basis(N, p, q, t_heis(N, k)))
+    return algebra_rep(HeisAlgElt.basis(e.N, e.p, e.q, t_heis(e.N, e.k)))
 
 
 class HeisAlgElt:
@@ -103,6 +100,9 @@ class HeisAlgElt:
 
     Coefficients are exact scalars in Q(zeta_{2N}); the central generator
     acts as the scalar t, so products fold the cocycle into powers of t.
+    A key (p,q) outside [0,N)^2 is the group element (p,q,0), reduced by
+    heis_reduce: its k shift becomes a coefficient factor t^k, and keys
+    that meet are summed.
     """
 
     def __init__(self, N: int, terms=None):
@@ -110,10 +110,12 @@ class HeisAlgElt:
             raise ValueError("N must be even and >= 2")
         self.N = N
         clean = {}
-        for key, c in (terms or {}).items():
-            if c:
-                clean[(key[0] % N, key[1] % N)] = c
-        self.terms = clean
+        for (p, q), c in (terms or {}).items():
+            if not (0 <= p < N and 0 <= q < N):
+                _, p, q, k = heis_reduce(HeisElt(p, q, 0), N)
+                c = c * t_heis(N, k)
+            clean[(p, q)] = clean[(p, q)] + c if (p, q) in clean else c
+        self.terms = {key: c for key, c in clean.items() if c}
 
     @classmethod
     def basis(cls, N, p, q, coeff=None):

@@ -31,7 +31,6 @@ from .scalar import (
     CycScalar,
     DEFAULT_PREC_BITS,
     LaurentPoly,
-    cheb_s,
     embed_matrix,
     index_fold,
     qint,
@@ -212,21 +211,14 @@ def rt_rep_matrix(s, r: int):
     return mat
 
 
-def mat_poly(poly, m, r):
-    """Evaluate an integer polynomial at a CycScalar matrix."""
+def _cheb_s_operators(m, count, r):
+    """[S_{-1}(m), S_0(m), ..., S_{count-1}(m)] from S_{-1} = 0, S_0 = I and
+    S_{n+1} = m S_n - S_{n-1}: count - 1 products."""
     n = len(m)
-    acc = None
-    ident = linalg.mat_identity(n, CycScalar.one(r))
-    for c in reversed(poly):
-        if acc is None:
-            acc = linalg.mat_scale(CycScalar.from_int(c, r), ident)
-        else:
-            acc = linalg.mat_mul(acc, m)
-            if c:
-                acc = linalg.mat_add(acc, linalg.mat_scale(CycScalar.from_int(c, r), ident))
-    if acc is None:
-        return linalg.mat_scale(CycScalar.zero(r), ident)
-    return acc
+    ops = [[[CycScalar.zero(r)] * n for _ in range(n)], linalg.mat_identity(n, CycScalar.one(r))]
+    for _ in range(count - 1):
+        ops.append(linalg.mat_sub(linalg.mat_mul(m, ops[-1]), ops[-2]))
+    return ops[: count + 1]
 
 
 def wilson_matrix(p: int, q: int, n: int, r: int):
@@ -236,10 +228,10 @@ def wilson_matrix(p: int, q: int, n: int, r: int):
     the 2r-periodic sign folding in n.
     """
     if gcd(abs(p), abs(q)) != 1:
-        raise ValueError("(p,q) must be coprime; expand multiple copies with cheb_t")
+        raise ValueError("(p,q) must be coprime; parallel copies are the basis curve (p,q)_T")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    return mat_poly(cheb_s(n - 1), rt_rep_matrix((p, q), r), r)
+    return _cheb_s_operators(rt_rep_matrix((p, q), r), n, r)[-1]
 
 
 # -- modular data -------------------------------------------------------------
@@ -358,9 +350,8 @@ def twist_skein_matrix(r: int):
     c = f_of_twist_solve(r)
     n = r - 1
     acc = [[CycScalar.zero(r)] * n for _ in range(n)]
-    base = rt_rep_matrix((0, 1), r)
-    for j in range(1, r):
-        acc = linalg.mat_add(acc, linalg.mat_scale(c[j - 1], mat_poly(cheb_s(j - 1), base, r)))
+    for cj, op in zip(c, _cheb_s_operators(rt_rep_matrix((0, 1), r), n, r)[1:]):
+        acc = linalg.mat_add(acc, linalg.mat_scale(cj, op))
     return acc
 
 
@@ -615,7 +606,6 @@ __all__ = [
     "project_solid_torus",
     "rt_rep_matrix",
     "wilson_matrix",
-    "mat_poly",
     "hopf_gram",
     "eta_inverse_square",
     "eta_numeric",

@@ -14,11 +14,10 @@ dot product of the coefficients against a cached table of 2**F cos and
 2**F sin of the root angles, then one rounding per part, with the error
 bound stated on CycScalar.embed.
 
-Also provided: quantized integers [n], Chebyshev polynomials of both
-kinds with the downward extensions S_{-1} = 0 and S_{-2} = -1, Laurent
-polynomials over Q for generic-parameter computations, and ComplexAP,
-an embedded value at an explicit binary precision (its parts, modulus
-and difference; arithmetic goes through to_mpc).
+Also provided: quantized integers [n], Laurent polynomials over Q for
+generic-parameter computations, and ComplexAP, an embedded value at an
+explicit binary precision (its parts, modulus and difference; arithmetic
+goes through to_mpc).
 """
 from __future__ import annotations
 
@@ -502,71 +501,6 @@ def gauss_sum(j: int, r: int) -> CycScalar:
     acc = CycScalar.zero(r)
     for k in range(1, r):
         acc = acc + qint(j * k, r) * qint(k, r) * t_power(r, -k * k)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev polynomials (integer coefficients, constant term first)
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def cheb_s(n: int):
-    """Chebyshev polynomial of the second kind S_n.
-
-    S_0 = 1, S_1 = x, S_{n+1} = x S_n - S_{n-1}; running the recursion
-    backwards fixes S_{-1} = 0 and S_{-2} = -1.
-    """
-    if n < -2:
-        raise ValueError("cheb_s defined for n >= -2")
-    if n == -2:
-        return (-1,)
-    if n == -1:
-        return ()
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    return poly_trim(
-        tuple(
-            a - b
-            for a, b in zip(
-                (0,) + cheb_s(n - 1), cheb_s(n - 2) + (0, 0)
-            )
-        )
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def cheb_t(n: int):
-    """Chebyshev polynomial of the first kind, normalized T_0 = 2, T_1 = x."""
-    if n < 0:
-        raise ValueError("cheb_t defined for n >= 0")
-    if n == 0:
-        return (2,)
-    if n == 1:
-        return (0, 1)
-    return poly_trim(
-        tuple(
-            a - b
-            for a, b in zip(
-                (0,) + cheb_t(n - 1), cheb_t(n - 2) + (0, 0)
-            )
-        )
-    )
-
-
-def poly_eval(poly, x, one=None):
-    """Evaluate an integer polynomial at x (anything with +, *, int-mul)."""
-    if one is None:
-        one = 1
-    acc = None
-    for c in reversed(poly):
-        if acc is None:
-            acc = one * c
-        else:
-            acc = acc * x + one * c
-    if acc is None:
-        return one * 0
     return acc
 
 

@@ -134,6 +134,21 @@ def test_schrodinger_matrix_reduces_labels():
         assert linalg.mat_eq(got, schrodinger_matrix(heis_reduce(HeisElt(*label), N)))
 
 
+def test_heis_alg_elt_keys_are_group_elements():
+    # b(p,q) outside [0,N)^2 is (p,q,0) of H(Z): theta_j -> t^{-pq-2jq} theta_{j+p}
+    N, p, q = 4, 5, 1
+    zero = CycScalar.zero(N // 2)
+    want = [[zero] * N for _ in range(N)]
+    for j in range(N):
+        want[(j + p) % N][j] = t_heis(N, -p * q - 2 * j * q)
+    assert linalg.mat_eq(algebra_rep(HeisAlgElt.basis(N, p, q)), want)
+    # b(4,1) = t^4 b(0,1) = -b(0,1), so colliding keys cancel
+    one = CycScalar.one(N // 2)
+    assert HeisAlgElt(N, {(0, 1): one, (4, 1): one}).terms == {}
+    assert HeisAlgElt(N, {(0, 1): 1, (4, 1): 1}).terms == {}
+    assert HeisAlgElt(N, {(0, 1): one, (4, 1): -one}).terms == {(0, 1): one * 2}
+
+
 def test_central_character():
     for N in (2, 4, 6):
         for k in range(2 * N):

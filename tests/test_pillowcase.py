@@ -84,9 +84,10 @@ def test_wilson_decompose():
 
 
 def test_wilson_recomposition_matches_skein_side():
-    for r in (2, 3, 4, 5, 6):
+    # n runs past r through the sign-folded range r < n <= 2r+1
+    for r in (2, 3, 4, 5, 6, 7):
         for (p, q) in ((1, 0), (0, 1), (1, 1), (2, 1)):
-            for n in range(0, r + 1):
+            for n in range(0, 2 * r + 2):
                 lhs = wilson_cos_matrix(p, q, n, r)
                 rhs = wilson_matrix(p, q, n, r)
                 assert linalg.mat_eq(lhs, rhs), (r, p, q, n)

@@ -407,6 +407,22 @@ def test_twist_skein_egorov():
         assert linalg.mat_eq(lhs, rhs)
 
 
+def test_twist_skein_matrix_makes_r_minus_2_products(monkeypatch):
+    # one product per step of S_{n+1} = Y S_n - S_{n-1}, none per coefficient
+    calls = []
+    real = linalg.mat_mul
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    for r in (5, 8):
+        calls.clear()
+        twist_skein_matrix(r)
+        assert len(calls) == r - 2
+
+
 def test_skein_from_matrix():
     for r in (3, 4, 5):
         ident = linalg.mat_identity(r - 1, CycScalar.one(r))

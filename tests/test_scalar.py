@@ -11,13 +11,10 @@ from thetaforge.scalar import (
     ComplexAP,
     CycScalar,
     LaurentPoly,
-    cheb_s,
-    cheb_t,
     cyclotomic_poly,
     embed,
     euler_phi,
     gauss_sum,
-    poly_eval,
     qint,
     t_power,
 )
@@ -96,45 +93,6 @@ def test_division():
     a = qint(2, 5)
     b = t_power(5, 3) + CycScalar.from_int(2, 5)
     assert (a * b) / b == a
-
-
-def test_cheb_s_values():
-    assert cheb_s(2) == (-1, 0, 1)  # x^2 - 1
-    assert cheb_s(-1) == ()
-    assert cheb_s(-2) == (-1,)
-    # oracle: run the recursion independently
-    s_prev, s_cur = (1,), (0, 1)
-    for _ in range(3):
-        nxt = [0] + list(s_cur)
-        for i, c in enumerate(s_prev):
-            nxt[i] -= c
-        s_prev, s_cur = s_cur, tuple(nxt)
-    assert cheb_s(4) == s_cur == (1, 0, -3, 0, 1)
-
-
-def test_cheb_t_values():
-    assert cheb_t(0) == (2,)
-    assert cheb_t(2) == (-2, 0, 1)
-    for n in range(0, 9):
-        sn = cheb_s(n)
-        sm = cheb_s(n - 2)
-        diff = list(sn) + [0] * (len(cheb_t(n)) - len(sn))
-        for i, c in enumerate(sm):
-            diff[i] -= c
-        assert cheb_t(n) == tuple(diff[: len(cheb_t(n))])
-
-
-def test_cheb_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        cheb_s(-3)
-    with pytest.raises(ValueError):
-        cheb_t(-1)
-
-
-def test_poly_eval_on_field():
-    x = qint(2, 7)
-    val = poly_eval(cheb_s(2), x, one=CycScalar.one(7))
-    assert val == x * x - CycScalar.one(7)
 
 
 def test_embed_basics():
