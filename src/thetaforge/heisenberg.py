@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .scalar import CycScalar, DEFAULT_PREC_BITS, embed_matrix
+from .scalar import Combination, CycScalar, DEFAULT_PREC_BITS, embed_matrix
 from . import linalg
 from .sl2z import S, T, SL2Z, _word_product, sl2z_decompose
 
@@ -95,82 +95,44 @@ def schrodinger_matrix(e: FiniteHeisElt):
     return algebra_rep(HeisAlgElt.basis(e.N, e.p, e.q, t_heis(e.N, e.k)))
 
 
-class HeisAlgElt:
+class HeisAlgElt(Combination):
     """Element of the N-th Heisenberg group algebra on basis b(p,q).
 
-    Coefficients are exact scalars in Q(zeta_{2N}); the central generator
-    acts as the scalar t, so products fold the cocycle into powers of t.
-    A key (p,q) outside [0,N)^2 is the group element (p,q,0), reduced by
-    heis_reduce: its k shift becomes a coefficient factor t^k, and keys
-    that meet are summed.
+    The base is N.  Coefficients are exact scalars in Q(zeta_{2N}); the
+    central generator acts as the scalar t, so the product
+    b(p,q) b(p',q') = t^{pq'-qp'} b(p+p',q+q') folds the cocycle into a
+    power of t.  A key (p,q) outside [0,N)^2 is the group element
+    (p,q,0), reduced by heis_reduce: its k shift becomes a coefficient
+    factor t^k, and keys that meet are summed.
     """
 
-    def __init__(self, N: int, terms=None):
+    _MIXED = "mixed moduli"
+
+    def __init__(self, N: int, terms=()):
         if N % 2 or N < 2:
             raise ValueError("N must be even and >= 2")
-        self.N = N
-        clean = {}
-        for (p, q), c in (terms or {}).items():
-            if not (0 <= p < N and 0 <= q < N):
-                _, p, q, k = heis_reduce(HeisElt(p, q, 0), N)
-                c = c * t_heis(N, k)
-            clean[(p, q)] = clean[(p, q)] + c if (p, q) in clean else c
-        self.terms = {key: c for key, c in clean.items() if c}
+        super().__init__(N, terms)
 
     @classmethod
     def basis(cls, N, p, q, coeff=None):
         c = coeff if coeff is not None else CycScalar.one(_field_order(N))
         return cls(N, {(p, q): c})
 
-    @classmethod
-    def zero(cls, N):
-        return cls(N, {})
+    def _fold(self, key):
+        N = self.base
+        if 0 <= key[0] < N and 0 <= key[1] < N:
+            return key, 1
+        _, p, q, k = heis_reduce(HeisElt(*key, 0), N)
+        return (p, q), t_heis(N, k)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        return HeisAlgElt(self.N, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c):
-        return HeisAlgElt(self.N, {key: v * c for key, v in self.terms.items()})
-
-    def __mul__(self, other):
-        """Algebra product; the group cocycle becomes a power of t."""
-        self._check(other)
-        out = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                red = heis_reduce(
-                    heis_mul(HeisElt(p1, q1, 0), HeisElt(p2, q2, 0)), self.N
-                )
-                key = (red.p, red.q)
-                term = c1 * c2 * t_heis(self.N, red.k)
-                s = out.get(key)
-                out[key] = term if s is None else s + term
-        return HeisAlgElt(self.N, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, HeisAlgElt):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def _check(self, other):
-        if self.N != other.N:
-            raise ValueError("mixed moduli")
-
-    def __repr__(self):
-        return f"HeisAlgElt(N={self.N}, {len(self.terms)} terms)"
+    def _basis_mul(self, key1, key2):
+        (p, q), (a, b) = key1, key2
+        return (((p + a, q + b), t_heis(self.base, p * b - q * a)),)
 
 
 def algebra_rep(x: HeisAlgElt):
     """Linear extension of the theta-basis action to the group algebra."""
-    N = x.N
+    N = x.base
     r = _field_order(N)
     zero = CycScalar.zero(r)
     mat = [[zero] * N for _ in range(N)]

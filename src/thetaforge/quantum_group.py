@@ -129,23 +129,18 @@ def d_iso(k: int, r: int) -> DualityIso:
     """
     if not 1 <= k <= r - 1:
         raise ValueError(f"k must lie in [1, {r - 1}]")
-    std = irrep(k, r)
-    dual = dual_rep(k, r)
     denom = qint_factorial(k - 1, r).inverse()
-    for branch, nu_exp in (("+i*t", r + 1), ("-i*t", 3 * r + 1)):
-        D = _empty(k, r)
-        for i in range(k):  # column e^j with 2j = 2i-(k-1); row e_{-j} = k-1-i
-            two_j = 2 * i - (k - 1)
-            scale = (
-                t_power(r, nu_exp * two_j)
-                * qint_factorial(i, r)
-                * qint_factorial(k - 1 - i, r)
-                * denom
-            )
-            D[k - 1 - i][i] = scale
-        if _intertwines(D, dual, std):
-            return DualityIso(D, branch)
-    raise ArithmeticError(f"no square-root branch intertwines V^{k}* with V^{k}")
+    D = _empty(k, r)
+    for i in range(k):  # column e^j with 2j = 2i-(k-1); row e_{-j} = k-1-i
+        D[k - 1 - i][i] = (
+            t_power(r, (r + 1) * (2 * i - (k - 1)))
+            * qint_factorial(i, r)
+            * qint_factorial(k - 1 - i, r)
+            * denom
+        )
+    if not _intertwines(D, dual_rep(k, r), irrep(k, r)):
+        raise ArithmeticError(f"the nu = i*t matrix does not intertwine V^{k}* with V^{k}")
+    return DualityIso(D, "+i*t")
 
 
 def _intertwines(D, dual: QGroupRep, std: QGroupRep) -> bool:
@@ -346,10 +341,8 @@ def caterpillar_graph(genus: int):
 
 
 def vertex_admissible(m: int, n: int, p: int, r: int) -> bool:
-    return (
-        (m + n + p) % 2 == 1
-        and abs(m - n) + 1 <= p <= min(m + n - 1, 2 * r - 1 - m - n)
-    )
+    """V^p appears in V^m V^n: the truncated Clebsch-Gordan rule."""
+    return p in clebsch_gordan_range(m, n, r)
 
 
 def admissible_colorings(graph: TrivalentGraph, r: int):

@@ -6,8 +6,10 @@ rule
 
     (p,q)_T (p',q')_T = t^{pq'-p'q} (p+p',q+q')_T + t^{-(pq'-p'q)} (p-p',q-q')_T,
 
-at generic t or at t = exp(i*pi/2r).  At a root of unity the algebra
-acts on the solid-torus module with basis V^1(a), ..., V^{r-1}(a):
+at generic t or at t = exp(i*pi/2r).  T_0 = 2, so (0,0)_T is two empty
+skeins and the empty skein, the unit, is 1/2 (0,0)_T; the rule needs no
+separate unit.  At a root of unity the algebra acts on the solid-torus
+module with basis V^1(a), ..., V^{r-1}(a):
 
     (p,q)_T . V^j = t^{-pq} (t^{2qj} V^{j-p} + t^{-2qj} V^{j+p}),
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -28,6 +31,7 @@ import mpmath
 
 from . import linalg
 from .scalar import (
+    Combination,
     CycScalar,
     DEFAULT_PREC_BITS,
     LaurentPoly,
@@ -39,7 +43,6 @@ from .scalar import (
 from .sl2z import SL2Z, sl2z_decompose
 
 GENERIC = "generic"
-UNIT = "unit"  # the empty skein, multiplicative identity
 
 
 def canonical_curve(p: int, q: int):
@@ -49,109 +52,47 @@ def canonical_curve(p: int, q: int):
     return p, q
 
 
-class TorusSkein:
-    """Formal combination of curve classes (p,q)_T and the empty skein.
+class TorusSkein(Combination):
+    """Formal combination of curve classes (p,q)_T, keyed by canonical_curve.
 
-    mode is GENERIC (coefficients: Laurent polynomials in t) or an integer
-    r >= 2 (coefficients: CycScalar at t = zeta_{4r}).  (0,0)_T means
-    T_0 = 2 times the empty skein and is stored that way.
+    The base is the mode: GENERIC (coefficients: Laurent polynomials in t)
+    or an integer r >= 2 (coefficients: CycScalar at t = zeta_{4r}).
+    Products follow the product-to-sum rule.  (0,0)_T is T_0 = 2 empty
+    skeins, so the empty skein, the unit, is 1/2 (0,0)_T.
     """
 
-    def __init__(self, mode, terms=None):
+    _MIXED = "mixed skein modes"
+
+    def __init__(self, mode, terms=()):
         if mode != GENERIC and (not isinstance(mode, int) or mode < 2):
             raise ValueError("mode must be GENERIC or an integer r >= 2")
-        self.mode = mode
-        clean = {}
-        for key, c in (terms or {}).items():
-            if c:
-                clean[key] = c
-        self.terms = clean
-
-    # -- construction --------------------------------------------------------
-
-    def _one(self):
-        return LaurentPoly.one() if self.mode == GENERIC else CycScalar.one(self.mode)
+        super().__init__(mode, terms)
 
     def _t(self, e):
-        return LaurentPoly.t(e) if self.mode == GENERIC else t_power(self.mode, e)
+        return LaurentPoly.t(e) if self.base == GENERIC else t_power(self.base, e)
 
     @classmethod
     def zero(cls, mode):
-        return cls(mode, {})
+        return cls(mode)
 
     @classmethod
     def unit(cls, mode):
-        out = cls(mode, {})
-        out.terms[UNIT] = out._one()
-        return out
+        """The empty skein, 1/2 (0,0)_T."""
+        return cls.curve(0, 0, mode).scaled(Fraction(1, 2))
 
     @classmethod
     def curve(cls, p, q, mode):
-        """The basis skein (p,q)_T; (0,0)_T is 2 empty skeins."""
-        out = cls(mode, {})
-        if p == 0 and q == 0:
-            out.terms[UNIT] = out._one() * 2
-        else:
-            out.terms[canonical_curve(p, q)] = out._one()
-        return out
+        """The basis skein (p,q)_T."""
+        zero = cls(mode)
+        return zero._like({(p, q): zero._t(0)})
 
-    def scaled(self, c):
-        return TorusSkein(self.mode, {k: v * c for k, v in self.terms.items()})
+    def _fold(self, key):
+        return canonical_curve(*key), 1
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return TorusSkein(self.mode, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusSkein):
-            return NotImplemented
-        return self.mode == other.mode and self.terms == other.terms
-
-    def _check(self, other):
-        if self.mode != other.mode:
-            raise ValueError("mixed skein modes")
-
-    def __mul__(self, other):
-        return pts_mul(self, other)
-
-    def __repr__(self):
-        names = ", ".join(
-            "empty" if k == UNIT else f"({k[0]},{k[1]})" for k in self.terms
-        )
-        return f"TorusSkein(mode={self.mode}; {names or '0'})"
-
-
-def _pts_basis_mul(skein, key1, key2):
-    """Product of two basis symbols inside a host skein's mode."""
-    mode = skein.mode
-    if key1 == UNIT or key2 == UNIT:
-        other = key2 if key1 == UNIT else key1
-        out = TorusSkein(mode, {})
-        out.terms[other] = skein._one()
-        return out
-    p, q = key1
-    a, b = key2
-    det = p * b - a * q
-    out = TorusSkein.curve(p + a, q + b, mode).scaled(skein._t(det))
-    out = out + TorusSkein.curve(p - a, q - b, mode).scaled(skein._t(-det))
-    return out
-
-
-def pts_mul(x: TorusSkein, y: TorusSkein) -> TorusSkein:
-    """Bilinear extension of the product-to-sum rule."""
-    x._check(y)
-    out = TorusSkein.zero(x.mode)
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            out = out + _pts_basis_mul(x, k1, k2).scaled(c1 * c2)
-    return out
+    def _basis_mul(self, key1, key2):
+        (p, q), (a, b) = key1, key2
+        det = p * b - a * q
+        return ((p + a, q + b), self._t(det)), ((p - a, q - b), self._t(-det))
 
 
 # -- the solid-torus module ---------------------------------------------------
@@ -173,11 +114,11 @@ def project_solid_torus(s: TorusSkein) -> SolidTorusVector:
 
     On basis curves, pi((p,q)_T) = t^{-pq} (t^{-2q} S_p(a) - t^{2q} S_{p-2}(a)),
     the multiplication of (p,q)_T into the empty solid torus V^1: column
-    V^1 of rt_rep_matrix.  The order r is s.mode.
+    V^1 of rt_rep_matrix.  The order r is s.base.
     """
-    if s.mode == GENERIC:
+    if s.base == GENERIC:
         raise ValueError("projection needs a reduced skein")
-    return SolidTorusVector(s.mode, tuple(row[0] for row in rt_rep_matrix(s, s.mode)))
+    return SolidTorusVector(s.base, tuple(row[0] for row in rt_rep_matrix(s, s.base)))
 
 
 def rt_rep_matrix(s, r: int):
@@ -188,17 +129,12 @@ def rt_rep_matrix(s, r: int):
     """
     if isinstance(s, tuple):
         s = TorusSkein.curve(s[0], s[1], r)
-    if s.mode == GENERIC or s.mode != r:
+    if s.base == GENERIC or s.base != r:
         raise ValueError("representation needs matching reduced mode")
     n = r - 1
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
-    for key, c in s.terms.items():
-        if key == UNIT:
-            for j in range(n):
-                mat[j][j] = mat[j][j] + c
-            continue
-        p, q = key
+    for (p, q), c in s.terms.items():
         for j in range(1, r):
             col = j - 1
             for n_target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
@@ -495,9 +431,7 @@ def skein_from_matrix(mat, r: int) -> TorusSkein:
         raise ValueError(f"skein_from_matrix needs entries of order r={r}")
     out, rest = TorusSkein.zero(r), mat
     for p in range(r - 2, -1, -1):
-        level = TorusSkein.zero(r)
-        for q, c in _solve_level(rest, p, r).items():
-            level = level + TorusSkein.curve(p, q, r).scaled(c)
+        level = TorusSkein(r, {(p, q): c for q, c in _solve_level(rest, p, r).items()})
         rest = linalg.mat_sub(rest, rt_rep_matrix(level, r))
         out = out + level
     if not linalg.mat_is_zero(rest):
@@ -551,7 +485,7 @@ def presentation_relations(mode):
         )
     )
     c1 = t2 + tm2
-    c2 = tpow(4) + tpow(-4) - 2
+    c2 = tpow(4) + tpow(-4) - tpow(0) * 2
     rels.append(
         (
             "(t^2+t^{-2})YXY - (XY^2+Y^2X) = (t^4+t^{-4}-2)X",
@@ -597,10 +531,8 @@ def presentation_check_generic():
 
 __all__ = [
     "GENERIC",
-    "UNIT",
     "TorusSkein",
     "SolidTorusVector",
-    "pts_mul",
     "canonical_curve",
     "index_fold",
     "project_solid_torus",

@@ -14,10 +14,11 @@ dot product of the coefficients against a cached table of 2**F cos and
 2**F sin of the root angles, then one rounding per part, with the error
 bound stated on CycScalar.embed.
 
-Also provided: quantized integers [n], Laurent polynomials over Q for
-generic-parameter computations, and ComplexAP, an embedded value at an
-explicit binary precision (its parts, modulus and difference; arithmetic
-goes through to_mpc).
+Also provided: quantized integers [n]; Combination, the sparse sum of
+basis elements that Laurent polynomials, torus skeins and Heisenberg
+group-algebra elements share; Laurent polynomials over Q for
+generic-parameter computations; and ComplexAP, the parts of an embedded
+value (arithmetic goes through to_mpc).
 """
 from __future__ import annotations
 
@@ -361,7 +362,6 @@ class CycScalar:
         return ComplexAP(
             _mpf_ratio(sum(map(mul, self.num, cos)), den, frac_bits),
             _mpf_ratio(sum(map(mul, self.num, sin)), den, frac_bits),
-            precision_bits,
         )
 
     def to_json(self):
@@ -505,127 +505,128 @@ def gauss_sum(j: int, r: int) -> CycScalar:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Q (generic-parameter coefficient ring)
+# sparse combinations of basis elements
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """A Laurent polynomial in one variable with Fraction coefficients."""
+class Combination:
+    """A finite sum of basis elements, stored as terms = {key: coefficient}.
 
-    __slots__ = ("terms",)
+    base names what the sum lives over (an order r, a modulus N or a
+    generic parameter); sums over different bases do not mix.  A subclass
+    gives its basis by two methods:
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
+    - _fold(key) -> (key', factor): the basis element of key is factor
+      times that of the canonical key' (the default keeps every key);
+    - _basis_mul(k1, k2) -> [(key, factor), ...]: the product of two basis
+      elements.
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    Construction folds each key, sums the coefficients of keys that meet
+    and drops zeros, so equal sums have equal terms.  The product of two
+    elements of one class is the bilinear extension of _basis_mul;
+    multiplying by anything else scales every coefficient.
+    """
+
+    _MIXED = "mixed bases"
+
+    def __init__(self, base, terms=()):
+        self.base = base
+        sums = {}
+        for key, c in terms.items() if isinstance(terms, dict) else terms:
+            key, factor = self._fold(key)
+            if factor != 1:
+                c = c * factor
+            s = sums.get(key)
+            sums[key] = c if s is None else s + c
+        self.terms = {key: c for key, c in sums.items() if c}
+
+    def _fold(self, key):
+        return key, 1
+
+    def _like(self, terms):
+        """An element of this class and base; terms as for the constructor."""
+        out = object.__new__(type(self))
+        Combination.__init__(out, self.base, terms)
+        return out
+
+    def _check(self, other):
+        if self.base != other.base:
+            raise ValueError(self._MIXED)
+
+    def scaled(self, c):
+        return self._like((key, v * c) for key, v in self.terms.items())
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._like([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scaled(other)
+        self._check(other)
+        return self._like(
+            (key, c1 * c2 * factor)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+            for key, factor in self._basis_mul(k1, k2)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.base == other.base and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.base, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.base!r}, {self.terms!r})"
+
+
+class LaurentPoly(Combination):
+    """A Laurent polynomial in t over Q, keyed by the exponent.
+
+    The coefficient ring of the skein algebra at generic t.
+    """
+
+    def __init__(self, terms=()):
+        super().__init__(None, terms)
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls.t(0)
 
     @classmethod
     def t(cls, e=1, coeff=1):
         return cls({e: coeff})
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def specialize(self, r: int) -> CycScalar:
-        """Evaluate at t = zeta_{4r}."""
-        acc = CycScalar.zero(r)
-        for e, c in self.terms.items():
-            acc = acc + t_power(r, e) * c
-        return acc
+    def _basis_mul(self, e1, e2):
+        return ((e1 + e2, 1),)
 
     def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        bits = [f"{c}*t^{e}" for e, c in sorted(self.terms.items())]
-        return "LaurentPoly(" + " + ".join(bits) + ")"
+        return f"LaurentPoly({self.terms!r})"
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-precision complex values
+# embedded complex values
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ComplexAP:
-    """A complex number carried at an explicit binary precision."""
+    """The parts of an embedded value, as CycScalar.embed rounds them."""
 
     re: object
     im: object
-    precision_bits: int = DEFAULT_PREC_BITS
 
     def to_mpc(self):
         return mpmath.mpc(self.re, self.im)
-
-    def __abs__(self):
-        with mpmath.workprec(self.precision_bits + 16):
-            return abs(mpmath.mpc(self.re, self.im))
-
-    def __sub__(self, other):
-        prec = max(self.precision_bits, getattr(other, "precision_bits", 0))
-        with mpmath.workprec(prec + 16):
-            d = self.to_mpc() - (other.to_mpc() if isinstance(other, ComplexAP) else mpmath.mpc(other))
-            return ComplexAP(d.real, d.imag, prec)
-
-
-def embed(s: CycScalar, precision_bits: int = DEFAULT_PREC_BITS) -> ComplexAP:
-    """Module-level alias for CycScalar.embed."""
-    return s.embed(precision_bits)
 
 
 def embed_matrix(mat, scale=1):

