@@ -365,6 +365,9 @@ def admissible_colorings(graph: TrivalentGraph, r: int):
     for v, last in last_edge_at.items():
         checks_after[last].append(v)
 
+    # the fusion rule of each color pair, built once: membership in a range
+    # is cheaper than a call per vertex check
+    allowed = {(m, n): clebsch_gordan_range(m, n, r) for m in range(1, r) for n in range(1, r)}
     colorings = []
     assignment = {}
 
@@ -377,7 +380,7 @@ def admissible_colorings(graph: TrivalentGraph, r: int):
             ok = True
             for v in checks_after[i]:
                 m, n, p = (assignment[e] for e in incident[v])
-                if not vertex_admissible(m, n, p, r):
+                if p not in allowed[m, n]:
                     ok = False
                     break
             if ok:
