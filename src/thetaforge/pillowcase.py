@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .scalar import CycScalar, t_power
+from .scalar import CycScalar, prime_root, t_power
 
 
 class CosObservable(NamedTuple):
@@ -51,10 +51,9 @@ def weyl_cos_matrix(obs, r: int):
         for target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
             sign, idx = zeta_fold(target, r)
             if sign:
-                term = t_power(r, phase - p * q)
-                if sign < 0:
-                    term = -term
-                mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + term
+                # a fold sign of -1 is the factor t^{2r}
+                exponent = phase - p * q if sign > 0 else phase - p * q + 2 * r
+                mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + t_power(r, exponent)
     return mat
 
 
@@ -138,15 +137,14 @@ def equivalence_check(r: int):
     return {"r": r, "checked": checked, "mismatches": mismatches}
 
 
-def _spin(gens, start, act, flat, dim):
-    """RowSpan of flat(w(start)) over the words w in gens, g acting by act(g, m).
+def _spin(gens, start, act, flat, dim, span):
+    """span fed with flat(w(start)) over the words w in gens, g acting by act(g, m).
 
     Breadth first: each round applies every generator to the elements the
     previous round added, so an element that enlarged nothing is never
     expanded.  It returns as soon as the rank reaches dim: a full span
     cannot grow, so the stop is exact.
     """
-    span = linalg.RowSpan()
     span.add(flat(start))
     frontier = [start]
     while frontier and span.rank < dim:
@@ -167,13 +165,10 @@ def _generators(r):
     return [weyl_cos_matrix(CosObservable(1, 0), r), weyl_cos_matrix(CosObservable(0, 1), r)]
 
 
-def _algebra_span(gens, ident):
-    return _spin(gens, ident, linalg.mat_mul, linalg.flatten, len(ident) ** 2)
-
-
 def generated_algebra_span(r: int):
-    """Exact span of words in the two generating cosine operators."""
-    return _algebra_span(_generators(r), linalg.mat_identity(r - 1, CycScalar.one(r)))
+    """Exact RowSpan of words in the two generating cosine operators."""
+    ident = linalg.mat_identity(r - 1, CycScalar.one(r))
+    return _spin(_generators(r), ident, linalg.mat_mul, linalg.flatten, (r - 1) ** 2, linalg.RowSpan())
 
 
 def svn_irreducibility(r: int):
@@ -182,24 +177,62 @@ def svn_irreducibility(r: int):
     Every standard basis vector must generate the whole space under the
     algebra spanned by the two generating cosine operators, the span of
     that algebra must be everything, and its commutant must be scalars.
+
+    The three ranks are first taken over F_p, p the first prime above
+    2**20 with p = 1 (mod 4r), through the residue map zeta -> w of
+    prime_root.  That map is a ring homomorphism, so images of products
+    are products of images and a rank over F_p is at most the exact
+    rank.  Hence full rank (r-1)**2 of the algebra words mod p proves the
+    algebra dimension, rank r-1 mod p proves a vector cyclic, and nullity
+    1 mod p proves the commutant is the scalars, since the identity
+    always commutes.  A shortfall proves nothing: the next such prime is
+    tried, and then the exact ranks over Q(zeta_4r) decide.  So a false
+    report only ever comes from the exact ranks.
     """
     n = r - 1
     gens = _generators(r)
-    ident = linalg.mat_identity(n, CycScalar.one(r))
-    cyclic = [_spin(gens, e, linalg.mat_vec, list, n).rank == n for e in ident]
+    p = 1 << 20
+    for _ in range(2):
+        p, w = prime_root(r, p)
+        report = _svn_mod_p(r, gens, p, w)
+        proved = report["algebra_dimension"] == n * n and report["commutant_dimension"] == 1
+        if proved and report["all_cyclic"]:
+            return report
+    return _svn_report(r, gens, CycScalar.zero(r), linalg.RowSpan, linalg.mat_mul, linalg.mat_vec)
+
+
+def _svn_mod_p(r, gens, p, w):
+    """The svn_irreducibility report with every rank taken over F_p, zeta -> w."""
+    return _svn_report(
+        r,
+        [[[x.residue(p, w) for x in row] for row in g] for g in gens],
+        0,
+        lambda: linalg.ModSpan(p),
+        lambda a, b: linalg.mat_mul_mod(a, b, p),
+        lambda a, v: linalg.mat_vec_mod(a, v, p),
+    )
+
+
+def _svn_report(r, gens, zero, new_span, mat_mul, mat_vec):
+    """The svn_irreducibility report over the field of the entries of gens.
+
+    zero is that field's zero, new_span() an empty span over it, and
+    mat_mul, mat_vec its products.
+    """
+    n = r - 1
+    ident = linalg.mat_identity(n, zero + 1)
+    cyclic = [_spin(gens, e, mat_vec, list, n, new_span()).rank == n for e in ident]
     return {
         "r": r,
         "cyclic": cyclic,
         "all_cyclic": all(cyclic),
-        "algebra_dimension": _algebra_span(gens, ident).rank,
-        "commutant_dimension": _commutant_dimension(gens, n, r),
+        "algebra_dimension": _spin(gens, ident, mat_mul, linalg.flatten, n * n, new_span()).rank,
+        "commutant_dimension": _commutant_dimension(gens, n, zero, new_span()),
     }
 
 
-def _commutant_dimension(gens, n, r):
-    """Nullity of the commutation equations [G, X] = 0 over the field."""
-    rows = linalg.RowSpan()
-    zero = CycScalar.zero(r)
+def _commutant_dimension(gens, n, zero, rows):
+    """Nullity of the commutation equations [G, X] = 0, fed to the empty span rows."""
     for g in gens:
         for i in range(n):
             for j in range(n):

@@ -135,14 +135,16 @@ def rt_rep_matrix(s, r: int):
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
     for (p, q), c in s.terms.items():
+        unit = c == 1
         for j in range(1, r):
             col = j - 1
             for n_target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
                 sign, idx = index_fold(n_target, r)
                 if sign:
-                    term = c * t_power(r, phase - p * q)
-                    if sign < 0:
-                        term = -term
+                    # t^{2r} = -1 carries a fold sign of -1
+                    term = t_power(r, phase - p * q if sign > 0 else phase - p * q + 2 * r)
+                    if not unit:
+                        term = c * term
                     mat[idx - 1][col] = mat[idx - 1][col] + term
     return mat
 

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from thetaforge import linalg
+from thetaforge import linalg, pillowcase
 from thetaforge.pillowcase import (
     CosObservable,
     _spin,
+    _svn_mod_p,
+    _svn_report,
     equivalence_check,
     generated_algebra_span,
     svn_irreducibility,
@@ -15,7 +17,7 @@ from thetaforge.pillowcase import (
     zeta_fold,
 )
 from thetaforge.rt_torus import rt_rep_matrix, wilson_matrix
-from thetaforge.scalar import CycScalar, t_power
+from thetaforge.scalar import CycScalar, prime_root, t_power
 
 
 def test_weyl_diagonal_observable():
@@ -107,7 +109,7 @@ def test_equivalence_spot_r3():
 
 
 def test_svn_irreducibility():
-    for r in range(2, 9):
+    for r in (*range(2, 9), 12, 16):
         report = svn_irreducibility(r)
         assert report["all_cyclic"]
         assert report["algebra_dimension"] == (r - 1) ** 2
@@ -120,8 +122,48 @@ def test_spin_stops_only_at_full_rank():
     r, n = 5, 4
     y = weyl_cos_matrix(CosObservable(0, 1), r)
     ident = linalg.mat_identity(n, CycScalar.one(r))
-    assert _spin([y], ident, linalg.mat_mul, linalg.flatten, n * n).rank == n
-    assert _spin([y], ident[0], linalg.mat_vec, list, n).rank == 1
+    assert _spin([y], ident, linalg.mat_mul, linalg.flatten, n * n, linalg.RowSpan()).rank == n
+    assert _spin([y], ident[0], linalg.mat_vec, list, n, linalg.RowSpan()).rank == 1
+
+
+def _exact_svn_report(r):
+    gens = pillowcase._generators(r)
+    return _svn_report(r, gens, CycScalar.zero(r), linalg.RowSpan, linalg.mat_mul, linalg.mat_vec)
+
+
+def test_svn_mod_p_report_equals_exact():
+    for r in range(2, 9):
+        exact = _exact_svn_report(r)
+        assert _svn_mod_p(r, pillowcase._generators(r), *prime_root(r)) == exact
+        assert svn_irreducibility(r) == exact
+
+
+def test_svn_falls_back_to_exact_on_mod_p_shortfall(monkeypatch):
+    # every mod-p span stops at rank 1, so no prime proves anything
+    class ShortSpan(linalg.ModSpan):
+        def add(self, vec):
+            return self.rank == 0 and super().add(vec)
+
+    primes_tried, exact_adds = [], []
+    exact_add = linalg.RowSpan.add
+
+    def counting_prime_root(r, above):
+        primes_tried.append(above)
+        return prime_root(r, above)
+
+    def counting_add(self, vec):
+        exact_adds.append(vec)
+        return exact_add(self, vec)
+
+    monkeypatch.setattr(linalg, "ModSpan", ShortSpan)
+    monkeypatch.setattr(pillowcase, "prime_root", counting_prime_root)
+    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
+    r = 5
+    report = svn_irreducibility(r)
+    assert primes_tried == [2**20, prime_root(r)[0]]
+    assert exact_adds
+    monkeypatch.undo()
+    assert report == _exact_svn_report(r) == svn_irreducibility(r)
 
 
 def test_generated_algebra_span_is_full():
