@@ -455,7 +455,7 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def prime_root(r: int, above: int = 1 << 20):
+def prime_root(r: int, above: int):
     """(p, w): the first prime p > above with p = 1 (mod 4r), and w mod p of order exactly 4r.
 
     p is found by trial division.  w is the first g**((p-1)/4r), g = 2, 3,

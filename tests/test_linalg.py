@@ -76,7 +76,7 @@ def test_mat_vec_is_one_column_product(operands):
 def test_mod_p_products_are_residues_of_exact_ones(operands):
     # denominators up to 60 are prime to p > 2**20
     a, b = operands
-    p, w = prime_root(a[0][0].r)
+    p, w = prime_root(a[0][0].r, 2**20)
     res = lambda mat: [[x.residue(p, w) for x in row] for row in mat]
     assert linalg.mat_mul_mod(res(a), res(b), p) == res(linalg.mat_mul(a, b))
     col = [row[0] for row in b]
@@ -204,7 +204,7 @@ def test_modspan_rank_matches_exact_on_small_integers(data):
             vectors.append(list(data.draw(st.sampled_from(vectors))))
         else:
             vectors.append(data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
-    p, _ = prime_root(2)
+    p, _ = prime_root(2, 2**20)
     mod, exact = linalg.ModSpan(p), linalg.RowSpan()
     grew = [exact.add([CycScalar.from_int(x, 2) for x in v]) for v in vectors]
     assert [mod.add(v) for v in vectors] == grew

@@ -134,7 +134,7 @@ def _exact_svn_report(r):
 def test_svn_mod_p_report_equals_exact():
     for r in range(2, 9):
         exact = _exact_svn_report(r)
-        assert _svn_mod_p(r, pillowcase._generators(r), *prime_root(r)) == exact
+        assert _svn_mod_p(r, pillowcase._generators(r), *prime_root(r, 2**20)) == exact
         assert svn_irreducibility(r) == exact
 
 
@@ -160,7 +160,7 @@ def test_svn_falls_back_to_exact_on_mod_p_shortfall(monkeypatch):
     monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
     r = 5
     report = svn_irreducibility(r)
-    assert primes_tried == [2**20, prime_root(r)[0]]
+    assert primes_tried == [2**20, prime_root(r, 2**20)[0]]
     assert exact_adds
     monkeypatch.undo()
     assert report == _exact_svn_report(r) == svn_irreducibility(r)

@@ -93,7 +93,7 @@ def test_field_laws_random(triple):
 def test_residue_is_ring_hom(triple):
     # denominators up to 10**3 are prime to p > 2**20
     a, b, c = triple
-    p, w = prime_root(a.r)
+    p, w = prime_root(a.r, 2**20)
     res = lambda x: x.residue(p, w)
     assert res(a + b) == (res(a) + res(b)) % p
     assert res(a * b - c) == (res(a) * res(b) - res(c)) % p
@@ -105,13 +105,13 @@ def test_prime_root():
         return all(n % d for d in range(2, isqrt(n) + 1))
 
     for r in range(2, 65):
-        p, w = prime_root(r)
+        p, w = prime_root(r, 2**20)
         m = 4 * r
         assert p > 2**20 and p % m == 1 and is_prime(p)
         assert not any(is_prime(n) for n in range(2**20 + 1, p) if n % m == 1)
         assert pow(w, m, p) == 1 and all(pow(w, k, p) != 1 for k in range(1, m))
         assert prime_root(r, p)[0] > p
-    p, w = prime_root(3)
+    p, w = prime_root(3, 2**20)
     with pytest.raises(ZeroDivisionError):
         CycScalar(3, [1, 2], p).residue(p, w)
 
