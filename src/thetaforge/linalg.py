@@ -4,14 +4,11 @@ Matrices are plain lists of lists.  ``mat_mul`` and ``mat_vec`` multiply
 CycScalar entries by packed exact dot products; ``mat_inverse`` and
 ``RowSpan`` eliminate CycScalar vectors exactly; the other routines need
 entries that support +, -, *, == and truth testing.  Nothing ever rounds.
-``mat_mul_mod``, ``mat_vec_mod`` and ``ModSpan`` do the same products and
-ranks for integer entries over a prime field F_p.
 """
 from __future__ import annotations
 
 from bisect import insort
 from math import lcm
-from operator import mul
 
 from .scalar import CycScalar, euler_phi
 
@@ -136,31 +133,6 @@ def mat_vec(a, v):
     return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
-def mat_mul_mod(a, b, p):
-    """a times b over F_p, for integer matrices; entries of the result in [0, p).
-
-    Row i is the sum of the rows of b weighted by row i of a, with zero
-    weights skipped, so a sparse left factor costs little.
-    """
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("mat_mul_mod shape mismatch")
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                acc = [u + x * v for u, v in zip(acc, brow)]
-        out.append([u % p for u in acc])
-    return out
-
-
-def mat_vec_mod(a, v, p):
-    """a times the column vector v over F_p, as a list of integers in [0, p)."""
-    if any(len(row) != len(v) for row in a):
-        raise ValueError("mat_vec_mod shape mismatch")
-    return [sum(map(mul, row, v)) % p for row in a]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -274,41 +246,6 @@ class RowSpan:
                 d = coeffs.get(l)
                 coeffs[l] = -(c * f) if d is None else d - c * f
         return out
-
-
-class ModSpan:
-    """Rank over F_p of a growing set of integer vectors; no solve.
-
-    Pivot rows are kept with lead entry 1, each stored from its lead on,
-    and are applied in increasing lead order.  Between row operations
-    only the entry at the next lead is reduced mod p: every other entry
-    grows by less than p**2 per row applied, and all are reduced once at
-    the end.
-    """
-
-    def __init__(self, p):
-        self.p, self.leads, self.rows = p, [], {}
-
-    @property
-    def rank(self):
-        return len(self.leads)
-
-    def add(self, vec):
-        """Insert a vector; returns True if it enlarged the span."""
-        p, rows = self.p, self.rows
-        vec = list(vec)
-        for lead in self.leads:
-            f = vec[lead] % p
-            if f:
-                vec[lead:] = [x - f * y for x, y in zip(vec[lead:], rows[lead])]
-        vec = [x % p for x in vec]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            return False
-        inv = pow(vec[lead], -1, p)
-        rows[lead] = [x * inv % p for x in vec[lead:]]
-        insort(self.leads, lead)
-        return True
 
 
 def flatten(mat):

@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .scalar import CycScalar, prime_root, t_power
+from .scalar import CycScalar, t_power
 
 
 class CosObservable(NamedTuple):
@@ -53,7 +53,8 @@ def weyl_cos_matrix(obs, r: int):
             if sign:
                 # a fold sign of -1 is the factor t^{2r}
                 exponent = phase - p * q if sign > 0 else phase - p * q + 2 * r
-                mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + t_power(r, exponent)
+                entry, term = mat[idx - 1][j - 1], t_power(r, exponent)
+                mat[idx - 1][j - 1] = entry + term if entry else term
     return mat
 
 
@@ -178,61 +179,72 @@ def svn_irreducibility(r: int):
     algebra spanned by the two generating cosine operators, the span of
     that algebra must be everything, and its commutant must be scalars.
 
-    The three ranks are first taken over F_p, p the first prime above
-    2**20 with p = 1 (mod 4r), through the residue map zeta -> w of
-    prime_root.  That map is a ring homomorphism, so images of products
-    are products of images and a rank over F_p is at most the exact
-    rank.  Hence full rank (r-1)**2 of the algebra words mod p proves the
-    algebra dimension, rank r-1 mod p proves a vector cyclic, and nullity
-    1 mod p proves the commutant is the scalars, since the identity
-    always commutes.  A shortfall proves nothing: the next such prime is
-    tried, and then the exact ranks over Q(zeta_4r) decide.  So a false
-    report only ever comes from the exact ranks.
+    All three follow from one certificate on the generators X =
+    Op(2cos 2pi x) and Y = Op(2cos 2pi y) (the matrix-unit proof of
+    Burnside's theorem).  If Y is diagonal with pairwise distinct entries,
+    the Lagrange polynomials in Y are the matrix units E_ii.  Then
+    E_ii X E_jj = X_ij E_ij, so each nonzero off-diagonal X_ij gives E_ij,
+    and E_ij E_jk = E_ik gives every E_ik when the graph of those entries
+    (an edge i -> j for each) is strongly connected.  The algebra is then
+    all (r-1) x (r-1) matrices: dimension (r-1)**2, commutant the scalars
+    by Schur, and every nonzero vector cyclic.  Both tests are exact;
+    distinctness is the size of a set, as CycScalar hashes agree with ==.
+    If the certificate fails, the exact ranks over Q(zeta_4r) decide.
     """
     n = r - 1
     gens = _generators(r)
-    p = 1 << 20
-    for _ in range(2):
-        p, w = prime_root(r, p)
-        report = _svn_mod_p(r, gens, p, w)
-        proved = report["algebra_dimension"] == n * n and report["commutant_dimension"] == 1
-        if proved and report["all_cyclic"]:
-            return report
-    return _svn_report(r, gens, CycScalar.zero(r), linalg.RowSpan, linalg.mat_mul, linalg.mat_vec)
+    if _spans_matrix_units(*gens):
+        return {
+            "r": r,
+            "cyclic": [True] * n,
+            "all_cyclic": True,
+            "algebra_dimension": n * n,
+            "commutant_dimension": 1,
+        }
+    return _svn_report(r, gens)
 
 
-def _svn_mod_p(r, gens, p, w):
-    """The svn_irreducibility report with every rank taken over F_p, zeta -> w."""
-    return _svn_report(
-        r,
-        [[[x.residue(p, w) for x in row] for row in g] for g in gens],
-        0,
-        lambda: linalg.ModSpan(p),
-        lambda a, b: linalg.mat_mul_mod(a, b, p),
-        lambda a, v: linalg.mat_vec_mod(a, v, p),
-    )
+def _spans_matrix_units(x, y):
+    """True when y is diagonal with distinct entries and x's off-diagonal graph is strongly connected."""
+    n = len(y)
+    if any(y[i][j] for i in range(n) for j in range(n) if i != j):
+        return False
+    if len({row[i] for i, row in enumerate(y)}) < n:
+        return False
+    return _reaches_all(n, lambda i, j: x[i][j]) and _reaches_all(n, lambda i, j: x[j][i])
 
 
-def _svn_report(r, gens, zero, new_span, mat_mul, mat_vec):
-    """The svn_irreducibility report over the field of the entries of gens.
+def _reaches_all(n, edge):
+    """True when every node in range(n) is reachable from node 0 along edges i -> j with edge(i, j) true."""
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j not in seen and edge(i, j):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == n
 
-    zero is that field's zero, new_span() an empty span over it, and
-    mat_mul, mat_vec its products.
-    """
+
+def _svn_report(r, gens):
+    """The svn_irreducibility report from exact ranks over Q(zeta_4r)."""
     n = r - 1
-    ident = linalg.mat_identity(n, zero + 1)
-    cyclic = [_spin(gens, e, mat_vec, list, n, new_span()).rank == n for e in ident]
+    ident = linalg.mat_identity(n, CycScalar.one(r))
+    cyclic = [_spin(gens, e, linalg.mat_vec, list, n, linalg.RowSpan()).rank == n for e in ident]
     return {
         "r": r,
         "cyclic": cyclic,
         "all_cyclic": all(cyclic),
-        "algebra_dimension": _spin(gens, ident, mat_mul, linalg.flatten, n * n, new_span()).rank,
-        "commutant_dimension": _commutant_dimension(gens, n, zero, new_span()),
+        "algebra_dimension": _spin(gens, ident, linalg.mat_mul, linalg.flatten, n * n, linalg.RowSpan()).rank,
+        "commutant_dimension": _commutant_dimension(gens, r),
     }
 
 
-def _commutant_dimension(gens, n, zero, rows):
-    """Nullity of the commutation equations [G, X] = 0, fed to the empty span rows."""
+def _commutant_dimension(gens, r):
+    """Nullity of the commutation equations [G, X] = 0 over Q(zeta_4r)."""
+    n = r - 1
+    zero = CycScalar.zero(r)
+    rows = linalg.RowSpan()
     for g in gens:
         for i in range(n):
             for j in range(n):

@@ -145,7 +145,8 @@ def rt_rep_matrix(s, r: int):
                     term = t_power(r, phase - p * q if sign > 0 else phase - p * q + 2 * r)
                     if not unit:
                         term = c * term
-                    mat[idx - 1][col] = mat[idx - 1][col] + term
+                    entry = mat[idx - 1][col]
+                    mat[idx - 1][col] = entry + term if entry else term
     return mat
 
 

@@ -12,9 +12,7 @@ Inverses and complex conjugates come from the Galois maps
 zeta -> zeta^k.  The complex embedding is fixed point: one exact integer
 dot product of the coefficients against a cached table of 2**F cos and
 2**F sin of the root angles, then one rounding per part, with the error
-bound stated on CycScalar.embed.  CycScalar.residue maps into F_p for a
-prime p = 1 (mod 4r) from prime_root, sending zeta to a root of order 4r:
-a ring homomorphism, under which a rank can only fall.
+bound stated on CycScalar.embed.
 
 Also provided: quantized integers [n]; Combination, the sparse sum of
 basis elements that Laurent polynomials, torus skeins and Heisenberg
@@ -27,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 
 import mpmath
@@ -367,21 +365,6 @@ class CycScalar:
             _mpf_ratio(sum(map(mul, self.num, sin)), den, frac_bits),
         )
 
-    def residue(self, p: int, w: int) -> int:
-        """Image in F_p under zeta -> w: sum(num[e] * w**e) / den mod p.
-
-        When w has order exactly 4r mod p (prime_root gives such a pair),
-        Phi_{4r}(w) = 0 mod p, so this is a ring homomorphism on the
-        elements whose denominator p does not divide.  Raises
-        ZeroDivisionError when p divides den.
-        """
-        if self.den % p == 0:
-            raise ZeroDivisionError(f"{p} divides the denominator {self.den}")
-        acc = 0
-        for c in reversed(self.num):
-            acc = (acc * w + c) % p
-        return acc * pow(self.den, -1, p) % p
-
     def to_json(self):
         return {"r": self.r, "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs]}
 
@@ -445,36 +428,6 @@ def _embed_table(m, frac_bits):
 def _mpf_ratio(p, q, prec):
     """The mpf nearest to p/q at prec bits (one rounding)."""
     return mpmath.mp.make_mpf(from_rational(p, q, prec, round_nearest))
-
-
-# ---------------------------------------------------------------------------
-# residue fields
-# ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def prime_root(r: int, above: int):
-    """(p, w): the first prime p > above with p = 1 (mod 4r), and w mod p of order exactly 4r.
-
-    p is found by trial division.  w is the first g**((p-1)/4r), g = 2, 3,
-    ..., whose (4r/q)-th power is not 1 for any prime q dividing 4r.  Pass
-    above = p for the next such prime.
-    """
-    if r < 1:
-        raise ValueError("order parameter r must be >= 1")
-    m = 4 * r
-    p = above - (above - 1) % m + m
-    while not _is_prime(p):
-        p += m
-    cofactors = [m // q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
-    g = 2
-    while True:
-        w = pow(g, (p - 1) // m, p)
-        if all(pow(w, c, p) != 1 for c in cofactors):
-            return p, w
-        g += 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaforge import linalg
-from thetaforge.scalar import CycScalar, euler_phi, prime_root, t_power
+from thetaforge.scalar import CycScalar, euler_phi, t_power
 
 
 def _schoolbook(a, b):
@@ -69,18 +69,6 @@ def test_mat_vec_is_one_column_product(operands):
     a, b = operands
     v = [row[0] for row in b]
     assert linalg.mat_vec(a, v) == [row[0] for row in _schoolbook(a, [[x] for x in v])]
-
-
-@settings(max_examples=40, deadline=None)
-@given(_operands())
-def test_mod_p_products_are_residues_of_exact_ones(operands):
-    # denominators up to 60 are prime to p > 2**20
-    a, b = operands
-    p, w = prime_root(a[0][0].r, 2**20)
-    res = lambda mat: [[x.residue(p, w) for x in row] for row in mat]
-    assert linalg.mat_mul_mod(res(a), res(b), p) == res(linalg.mat_mul(a, b))
-    col = [row[0] for row in b]
-    assert linalg.mat_vec_mod(res(a), res([col])[0], p) == res([linalg.mat_vec(a, col)])[0]
 
 
 def test_mat_mul_rejects_mixed_orders():
@@ -190,25 +178,6 @@ def test_rowspan_matches_dense_elimination(case, data):
         assert coeffs is None
     else:
         assert _combine(coeffs, vectors, r, dim) == target
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_modspan_rank_matches_exact_on_small_integers(data):
-    # every minor of vectors of length <= 6 with entries in [-3, 3] is below
-    # (3 * 6**0.5)**6 < 2**20 (Hadamard), so reducing mod p > 2**20 keeps every rank
-    dim = data.draw(st.integers(1, 6))
-    vectors = []
-    for _ in range(data.draw(st.integers(0, 8))):
-        if vectors and data.draw(st.booleans()):
-            vectors.append(list(data.draw(st.sampled_from(vectors))))
-        else:
-            vectors.append(data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
-    p, _ = prime_root(2, 2**20)
-    mod, exact = linalg.ModSpan(p), linalg.RowSpan()
-    grew = [exact.add([CycScalar.from_int(x, 2) for x in v]) for v in vectors]
-    assert [mod.add(v) for v in vectors] == grew
-    assert mod.rank == exact.rank
 
 
 @st.composite

@@ -6,7 +6,6 @@ from thetaforge import linalg, pillowcase
 from thetaforge.pillowcase import (
     CosObservable,
     _spin,
-    _svn_mod_p,
     _svn_report,
     equivalence_check,
     generated_algebra_span,
@@ -17,7 +16,7 @@ from thetaforge.pillowcase import (
     zeta_fold,
 )
 from thetaforge.rt_torus import rt_rep_matrix, wilson_matrix
-from thetaforge.scalar import CycScalar, prime_root, t_power
+from thetaforge.scalar import CycScalar, t_power
 
 
 def test_weyl_diagonal_observable():
@@ -109,7 +108,7 @@ def test_equivalence_spot_r3():
 
 
 def test_svn_irreducibility():
-    for r in (*range(2, 9), 12, 16):
+    for r in (*range(2, 9), 12, 16, 32, 64, 128):
         report = svn_irreducibility(r)
         assert report["all_cyclic"]
         assert report["algebra_dimension"] == (r - 1) ** 2
@@ -126,44 +125,68 @@ def test_spin_stops_only_at_full_rank():
     assert _spin([y], ident[0], linalg.mat_vec, list, n, linalg.RowSpan()).rank == 1
 
 
-def _exact_svn_report(r):
-    gens = pillowcase._generators(r)
-    return _svn_report(r, gens, CycScalar.zero(r), linalg.RowSpan, linalg.mat_mul, linalg.mat_vec)
-
-
-def test_svn_mod_p_report_equals_exact():
+def test_svn_report_equals_exact():
     for r in range(2, 9):
-        exact = _exact_svn_report(r)
-        assert _svn_mod_p(r, pillowcase._generators(r), *prime_root(r, 2**20)) == exact
-        assert svn_irreducibility(r) == exact
+        assert svn_irreducibility(r) == _svn_report(r, pillowcase._generators(r))
 
 
-def test_svn_falls_back_to_exact_on_mod_p_shortfall(monkeypatch):
-    # every mod-p span stops at rank 1, so no prime proves anything
-    class ShortSpan(linalg.ModSpan):
-        def add(self, vec):
-            return self.rank == 0 and super().add(vec)
+@pytest.mark.parametrize(
+    "obs",
+    [
+        # Op(2cos 4pi y) repeats a diagonal entry, so Y's polynomials miss some E_ii
+        (CosObservable(1, 0), CosObservable(0, 2)),
+        # Op(2cos 4pi x) links only indices of one parity
+        (CosObservable(2, 0), CosObservable(0, 1)),
+    ],
+    ids=["repeated_diagonal", "one_parity"],
+)
+def test_svn_falls_back_to_exact_without_certificate(monkeypatch, obs):
+    def generators(r):
+        return [weyl_cos_matrix(o, r) for o in obs]
 
-    primes_tried, exact_adds = [], []
-    exact_add = linalg.RowSpan.add
+    monkeypatch.setattr(pillowcase, "_generators", generators)
+    reports = {r: svn_irreducibility(r) for r in (4, 5, 6)}
+    for r, report in reports.items():
+        assert report == _svn_report(r, generators(r))
+        assert report["commutant_dimension"] == 2
+    if obs[1] == CosObservable(0, 2):
+        # every vector is cyclic, yet the algebra is not everything
+        assert reports[5]["all_cyclic"] and reports[5]["algebra_dimension"] == 8
 
-    def counting_prime_root(r, above):
-        primes_tried.append(above)
-        return prime_root(r, above)
 
-    def counting_add(self, vec):
-        exact_adds.append(vec)
-        return exact_add(self, vec)
+def test_svn_certificate_needs_paths_both_ways(monkeypatch):
+    # X's entries above the diagonal link i to i+1 only: words in them and Y
+    # give the upper triangular matrices, whose commutant is still the scalars
+    generators = pillowcase._generators
 
-    monkeypatch.setattr(linalg, "ModSpan", ShortSpan)
-    monkeypatch.setattr(pillowcase, "prime_root", counting_prime_root)
-    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
-    r = 5
-    report = svn_irreducibility(r)
-    assert primes_tried == [2**20, prime_root(r, 2**20)[0]]
-    assert exact_adds
-    monkeypatch.undo()
-    assert report == _exact_svn_report(r) == svn_irreducibility(r)
+    def upper_generators(r):
+        x, y = generators(r)
+        return [[[v if j > i else v * 0 for j, v in enumerate(row)] for i, row in enumerate(x)], y]
+
+    monkeypatch.setattr(pillowcase, "_generators", upper_generators)
+    for r in (4, 5):
+        n = r - 1
+        report = svn_irreducibility(r)
+        assert report == _svn_report(r, upper_generators(r))
+        assert report["algebra_dimension"] == n * (n + 1) // 2
+        assert report["cyclic"] == [False] * (n - 1) + [True]
+        assert report["commutant_dimension"] == 1
+
+
+def test_svn_certificate_needs_diagonal_y(monkeypatch):
+    # x = J - I, and y upper triangular with diagonal 1..n and every row sum n:
+    # both fix the all-ones vector, so the algebra they generate is not everything
+    def generators(r):
+        n, one = r - 1, CycScalar.one(r)
+        x = [[one * (i != j) for j in range(n)] for i in range(n)]
+        y = [[one * (i + 1 if i == j else n - 1 - i if j == n - 1 else 0) for j in range(n)] for i in range(n)]
+        return [x, y]
+
+    monkeypatch.setattr(pillowcase, "_generators", generators)
+    for r in (4, 5):
+        report = svn_irreducibility(r)
+        assert report == _svn_report(r, generators(r))
+        assert report["algebra_dimension"] < (r - 1) ** 2
 
 
 def test_generated_algebra_span_is_full():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import mpmath
 import pytest
@@ -13,7 +13,6 @@ from thetaforge.scalar import (
     cyclotomic_poly,
     euler_phi,
     gauss_sum,
-    prime_root,
     qint,
     t_power,
 )
@@ -86,34 +85,6 @@ def test_field_laws_random(triple):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     if not a.is_zero():
         assert a * a.inverse() == CycScalar.one(a.r)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_field_triple())
-def test_residue_is_ring_hom(triple):
-    # denominators up to 10**3 are prime to p > 2**20
-    a, b, c = triple
-    p, w = prime_root(a.r, 2**20)
-    res = lambda x: x.residue(p, w)
-    assert res(a + b) == (res(a) + res(b)) % p
-    assert res(a * b - c) == (res(a) * res(b) - res(c)) % p
-    assert res(t_power(a.r, 1)) == w
-
-
-def test_prime_root():
-    def is_prime(n):
-        return all(n % d for d in range(2, isqrt(n) + 1))
-
-    for r in range(2, 65):
-        p, w = prime_root(r, 2**20)
-        m = 4 * r
-        assert p > 2**20 and p % m == 1 and is_prime(p)
-        assert not any(is_prime(n) for n in range(2**20 + 1, p) if n % m == 1)
-        assert pow(w, m, p) == 1 and all(pow(w, k, p) != 1 for k in range(1, m))
-        assert prime_root(r, p)[0] > p
-    p, w = prime_root(3, 2**20)
-    with pytest.raises(ZeroDivisionError):
-        CycScalar(3, [1, 2], p).residue(p, w)
 
 
 def test_division():
