@@ -130,62 +130,43 @@ def test_svn_report_equals_exact():
         assert svn_irreducibility(r) == _svn_report(r, pillowcase._generators(r))
 
 
+def _cos_pair(a, b):
+    return lambda r: [weyl_cos_matrix(a, r), weyl_cos_matrix(b, r)]
+
+
+def _upper_x(r):
+    # X's entries above the diagonal link i to i+1 only
+    x, y = _cos_pair(CosObservable(1, 0), CosObservable(0, 1))(r)
+    return [[[v if j > i else v * 0 for j, v in enumerate(row)] for i, row in enumerate(x)], y]
+
+
+def _fixing_ones(r):
+    # J - I, and y upper triangular with diagonal 1..n and every row sum n:
+    # both fix the all-ones vector
+    n, one = r - 1, CycScalar.one(r)
+    x = [[one * (i != j) for j in range(n)] for i in range(n)]
+    y = [[one * (i + 1 if i == j else n - 1 - i if j == n - 1 else 0) for j in range(n)] for i in range(n)]
+    return [x, y]
+
+
 @pytest.mark.parametrize(
-    "obs",
+    "generators",
     [
-        # Op(2cos 4pi y) repeats a diagonal entry, so Y's polynomials miss some E_ii
-        (CosObservable(1, 0), CosObservable(0, 2)),
+        # Op(2cos 4pi y) repeats a diagonal entry; every vector is still cyclic at r = 5
+        _cos_pair(CosObservable(1, 0), CosObservable(0, 2)),
         # Op(2cos 4pi x) links only indices of one parity
-        (CosObservable(2, 0), CosObservable(0, 1)),
+        _cos_pair(CosObservable(2, 0), CosObservable(0, 1)),
+        _upper_x,
+        _fixing_ones,
     ],
-    ids=["repeated_diagonal", "one_parity"],
+    ids=["repeated_diagonal", "one_parity", "one_way_path", "y_not_diagonal"],
 )
-def test_svn_falls_back_to_exact_without_certificate(monkeypatch, obs):
-    def generators(r):
-        return [weyl_cos_matrix(o, r) for o in obs]
-
+def test_svn_falls_back_to_exact_without_certificate(monkeypatch, generators):
+    # each pair fails one hypothesis of the certificate and generates less than all matrices
+    exact = {r: _svn_report(r, generators(r)) for r in (4, 5, 6)}
     monkeypatch.setattr(pillowcase, "_generators", generators)
-    reports = {r: svn_irreducibility(r) for r in (4, 5, 6)}
-    for r, report in reports.items():
-        assert report == _svn_report(r, generators(r))
-        assert report["commutant_dimension"] == 2
-    if obs[1] == CosObservable(0, 2):
-        # every vector is cyclic, yet the algebra is not everything
-        assert reports[5]["all_cyclic"] and reports[5]["algebra_dimension"] == 8
-
-
-def test_svn_certificate_needs_paths_both_ways(monkeypatch):
-    # X's entries above the diagonal link i to i+1 only: words in them and Y
-    # give the upper triangular matrices, whose commutant is still the scalars
-    generators = pillowcase._generators
-
-    def upper_generators(r):
-        x, y = generators(r)
-        return [[[v if j > i else v * 0 for j, v in enumerate(row)] for i, row in enumerate(x)], y]
-
-    monkeypatch.setattr(pillowcase, "_generators", upper_generators)
-    for r in (4, 5):
-        n = r - 1
-        report = svn_irreducibility(r)
-        assert report == _svn_report(r, upper_generators(r))
-        assert report["algebra_dimension"] == n * (n + 1) // 2
-        assert report["cyclic"] == [False] * (n - 1) + [True]
-        assert report["commutant_dimension"] == 1
-
-
-def test_svn_certificate_needs_diagonal_y(monkeypatch):
-    # x = J - I, and y upper triangular with diagonal 1..n and every row sum n:
-    # both fix the all-ones vector, so the algebra they generate is not everything
-    def generators(r):
-        n, one = r - 1, CycScalar.one(r)
-        x = [[one * (i != j) for j in range(n)] for i in range(n)]
-        y = [[one * (i + 1 if i == j else n - 1 - i if j == n - 1 else 0) for j in range(n)] for i in range(n)]
-        return [x, y]
-
-    monkeypatch.setattr(pillowcase, "_generators", generators)
-    for r in (4, 5):
-        report = svn_irreducibility(r)
-        assert report == _svn_report(r, generators(r))
+    for r, report in exact.items():
+        assert svn_irreducibility(r) == report
         assert report["algebra_dimension"] < (r - 1) ** 2
 
 
