@@ -138,14 +138,15 @@ def equivalence_check(r: int):
     return {"r": r, "checked": checked, "mismatches": mismatches}
 
 
-def _spin(gens, start, act, flat, dim, span):
-    """span fed with flat(w(start)) over the words w in gens, g acting by act(g, m).
+def _spin(gens, start, act, flat, dim):
+    """RowSpan of flat(w(start)) over the words w in gens, g acting by act(g, m).
 
     Breadth first: each round applies every generator to the elements the
     previous round added, so an element that enlarged nothing is never
     expanded.  It returns as soon as the rank reaches dim: a full span
     cannot grow, so the stop is exact.
     """
+    span = linalg.RowSpan()
     span.add(flat(start))
     frontier = [start]
     while frontier and span.rank < dim:
@@ -169,7 +170,7 @@ def _generators(r):
 def generated_algebra_span(r: int):
     """Exact RowSpan of words in the two generating cosine operators."""
     ident = linalg.mat_identity(r - 1, CycScalar.one(r))
-    return _spin(_generators(r), ident, linalg.mat_mul, linalg.flatten, (r - 1) ** 2, linalg.RowSpan())
+    return _spin(_generators(r), ident, linalg.mat_mul, linalg.flatten, (r - 1) ** 2)
 
 
 def svn_irreducibility(r: int):
@@ -230,12 +231,12 @@ def _svn_report(r, gens):
     """The svn_irreducibility report from exact ranks over Q(zeta_4r)."""
     n = r - 1
     ident = linalg.mat_identity(n, CycScalar.one(r))
-    cyclic = [_spin(gens, e, linalg.mat_vec, list, n, linalg.RowSpan()).rank == n for e in ident]
+    cyclic = [_spin(gens, e, linalg.mat_vec, list, n).rank == n for e in ident]
     return {
         "r": r,
         "cyclic": cyclic,
         "all_cyclic": all(cyclic),
-        "algebra_dimension": _spin(gens, ident, linalg.mat_mul, linalg.flatten, n * n, linalg.RowSpan()).rank,
+        "algebra_dimension": _spin(gens, ident, linalg.mat_mul, linalg.flatten, n * n).rank,
         "commutant_dimension": _commutant_dimension(gens, r),
     }
 

@@ -121,8 +121,8 @@ def test_spin_stops_only_at_full_rank():
     r, n = 5, 4
     y = weyl_cos_matrix(CosObservable(0, 1), r)
     ident = linalg.mat_identity(n, CycScalar.one(r))
-    assert _spin([y], ident, linalg.mat_mul, linalg.flatten, n * n, linalg.RowSpan()).rank == n
-    assert _spin([y], ident[0], linalg.mat_vec, list, n, linalg.RowSpan()).rank == 1
+    assert _spin([y], ident, linalg.mat_mul, linalg.flatten, n * n).rank == n
+    assert _spin([y], ident[0], linalg.mat_vec, list, n).rank == 1
 
 
 def test_svn_report_equals_exact():
