@@ -10,18 +10,17 @@ stored through the doubled weight 2j so arithmetic stays integral):
 Tensor products decompose by the truncated Clebsch-Gordan rule, which
 makes the span of V^1..V^{r-1} a commutative ring isomorphic to
 C[V^2]/S_{r-1}(V^2); admissible colorings of trivalent graphs count its
-structure constants and give the dimensions that the numeric Verlinde
-sum reproduces.
+structure constants and give the dimensions that the Verlinde sum,
+evaluated exactly in Q(zeta_4r), reproduces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
-
 from . import linalg
-from .scalar import CycScalar, index_fold, qint, qint_factorial, t_power
+from .rt_torus import eta_inverse_square
+from .scalar import Combination, CycScalar, chebyshev_s, index_fold, qint, qint_factorial, t_power
 
 
 # -- irreducible representations ----------------------------------------------
@@ -154,51 +153,37 @@ def _intertwines(D, dual: QGroupRep, std: QGroupRep) -> bool:
 
 # -- the fusion ring -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FusionElement:
-    """Integer combination of V^1, ..., V^{r-1}."""
+class FusionElement(Combination):
+    """Integer combination of V^1, ..., V^{r-1}, keyed by n for V^n; base r.
 
-    r: int
-    coeffs: tuple
+    Keys fold by scalar.index_fold, V^r = 0, V^{r+j} = -V^{r-j} and
+    V^{n+2r} = V^n, the rule that folds the solid-torus basis and the
+    quantized integers; products follow the truncated Clebsch-Gordan rule.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.r - 1:
-            raise ValueError("coefficient length must be r-1")
+    _MIXED = "mixed levels"
 
-    @classmethod
-    def zero(cls, r):
-        return cls(r, (0,) * (r - 1))
+    def __init__(self, r, terms=()):
+        if r < 2:
+            raise ValueError("r must be >= 2")
+        super().__init__(r, terms)
 
     @classmethod
     def basis(cls, n, r):
         if not 1 <= n <= r - 1:
             raise ValueError("basis index out of range")
-        return cls(r, tuple(1 if i == n - 1 else 0 for i in range(r - 1)))
+        return cls(r, {n: 1})
 
     @classmethod
     def one(cls, r):
         return cls.basis(1, r)
 
-    def __add__(self, other):
-        self._check(other)
-        return FusionElement(self.r, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def _fold(self, n):
+        sign, idx = index_fold(n, self.base)
+        return idx, sign
 
-    def __sub__(self, other):
-        self._check(other)
-        return FusionElement(self.r, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return FusionElement(self.r, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        return fusion_mul(self, other)
-
-    def _check(self, other):
-        if self.r != other.r:
-            raise ValueError("mixed levels")
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+    def _basis_mul(self, m, n):
+        return [(p, 1) for p in clebsch_gordan_range(m, n, self.base)]
 
 
 def clebsch_gordan_range(m: int, n: int, r: int):
@@ -206,54 +191,18 @@ def clebsch_gordan_range(m: int, n: int, r: int):
     return range(abs(m - n) + 1, min(m + n - 1, 2 * r - 1 - m - n) + 1, 2)
 
 
-def fusion_mul(a: FusionElement, b: FusionElement) -> FusionElement:
-    a._check(b)
-    r = a.r
-    out = [0] * (r - 1)
-    for m in range(1, r):
-        ca = a.coeffs[m - 1]
-        if not ca:
-            continue
-        for n in range(1, r):
-            cb = b.coeffs[n - 1]
-            if not cb:
-                continue
-            for p in clebsch_gordan_range(m, n, r):
-                out[p - 1] += ca * cb
-    return FusionElement(r, tuple(out))
-
-
 def fusion_from_chebyshev(n: int, r: int) -> FusionElement:
     """S_{n-1}(V^2) evaluated in the fusion ring."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n == 0:
-        return FusionElement.zero(r)
-    prev = FusionElement.zero(r)  # S_{-1}
-    cur = FusionElement.one(r)  # S_0
-    v2 = FusionElement.basis(2, r) if r > 2 else FusionElement.zero(r)
-    for _ in range(n - 1):
-        prev, cur = cur, fusion_mul(v2, cur) - prev
-    return cur
-
-
-def fusion_fold(n: int, r: int) -> FusionElement:
-    """V^n reduced by V^r = 0, V^{r+j} = -V^{r-j}, V^{n+2r} = V^n.
-
-    The same rule that folds the solid-torus basis and the quantized
-    integers, so it is scalar.index_fold.
-    """
-    sign, idx = index_fold(n, r)
-    if not sign:
-        return FusionElement.zero(r)
-    v = FusionElement.basis(idx, r)
-    return v if sign > 0 else -v
+    return chebyshev_s(FusionElement(r, {2: 1}), FusionElement.one(r), n)[-1]
 
 
 def fusion_matrix(a: int, r: int):
     """Integer matrix of multiplication by V^a on the basis."""
-    cols = [fusion_mul(FusionElement.basis(a, r), FusionElement.basis(n, r)) for n in range(1, r)]
-    return [[cols[n - 1].coeffs[p - 1] for n in range(1, r)] for p in range(1, r)]
+    va = FusionElement.basis(a, r)
+    cols = [(va * FusionElement.basis(n, r)).terms for n in range(1, r)]
+    return [[col.get(p, 0) for col in cols] for p in range(1, r)]
 
 
 # -- trivalent graphs and colorings --------------------------------------------
@@ -391,18 +340,23 @@ def admissible_colorings(graph: TrivalentGraph, r: int):
     return len(colorings), colorings
 
 
-def verlinde_numeric(genus: int, r: int) -> float:
-    """sum_j (eta [j])^{2-2g}; the numeric count of admissible colorings."""
+def verlinde_numeric(genus: int, r: int) -> int:
+    """sum_j (eta [j])^{2-2g}, the count of admissible colorings, exactly.
+
+    With eta^{-2} = sum_k [k]^2 this is (sum_k [k]^2)^{g-1} sum_j [j]^{2-2g},
+    summed in Q(zeta_4r); the result must be a rational integer.
+    """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if r < 2:
         raise ValueError("r must be >= 2")
-    with mpmath.workprec(80):
-        total = mpmath.mpf(0)
-        for j in range(1, r):
-            term = mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(j) / r)
-            total += term ** (2 - 2 * genus)
-        return float(total)
+    total = CycScalar.zero(r)
+    for j in range(1, r):
+        total = total + qint(j, r) ** (2 - 2 * genus)
+    total = eta_inverse_square(r) ** (genus - 1) * total
+    if total.den != 1 or any(total.num[1:]):
+        raise ArithmeticError(f"Verlinde sum at genus {genus}, r = {r} is not an integer")
+    return total.num[0]
 
 
 __all__ = [
@@ -414,9 +368,7 @@ __all__ = [
     "dual_rep",
     "d_iso",
     "clebsch_gordan_range",
-    "fusion_mul",
     "fusion_from_chebyshev",
-    "fusion_fold",
     "fusion_matrix",
     "vertex_admissible",
     "admissible_colorings",

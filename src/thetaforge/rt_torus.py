@@ -35,6 +35,7 @@ from .scalar import (
     CycScalar,
     DEFAULT_PREC_BITS,
     LaurentPoly,
+    chebyshev_s,
     embed_matrix,
     index_fold,
     qint,
@@ -150,27 +151,17 @@ def rt_rep_matrix(s, r: int):
     return mat
 
 
-def _cheb_s_operators(m, count, r):
-    """[S_{-1}(m), S_0(m), ..., S_{count-1}(m)] from S_{-1} = 0, S_0 = I and
-    S_{n+1} = m S_n - S_{n-1}: count - 1 products."""
-    n = len(m)
-    ops = [[[CycScalar.zero(r)] * n for _ in range(n)], linalg.mat_identity(n, CycScalar.one(r))]
-    for _ in range(count - 1):
-        ops.append(linalg.mat_sub(linalg.mat_mul(m, ops[-1]), ops[-2]))
-    return ops[: count + 1]
-
-
 def wilson_matrix(p: int, q: int, n: int, r: int):
     """Operator of the holonomy trace along primitive (p,q) in dimension n.
 
-    S_{n-1} of the curve operator; satisfies the vanishing at n = r and
-    the 2r-periodic sign folding in n.
+    The operator of the skein S_{n-1}((p,q)_T); satisfies the vanishing at
+    n = r and the 2r-periodic sign folding in n.
     """
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("(p,q) must be coprime; parallel copies are the basis curve (p,q)_T")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    return _cheb_s_operators(rt_rep_matrix((p, q), r), n, r)[-1]
+    return rt_rep_matrix(chebyshev_s(TorusSkein.curve(p, q, r), TorusSkein.unit(r), n)[-1], r)
 
 
 # -- modular data -------------------------------------------------------------
@@ -287,11 +278,8 @@ def f_of_twist_solve(r: int):
 def twist_skein_matrix(r: int):
     """Representation of sum_j c_j S_{j-1}((0,1)_T) for the solved twist."""
     c = f_of_twist_solve(r)
-    n = r - 1
-    acc = [[CycScalar.zero(r)] * n for _ in range(n)]
-    for cj, op in zip(c, _cheb_s_operators(rt_rep_matrix((0, 1), r), n, r)[1:]):
-        acc = linalg.mat_add(acc, linalg.mat_scale(cj, op))
-    return acc
+    cheb = chebyshev_s(TorusSkein.curve(0, 1, r), TorusSkein.unit(r), r - 1)[1:]
+    return rt_rep_matrix(sum((s.scaled(cj) for cj, s in zip(c, cheb)), TorusSkein.zero(r)), r)
 
 
 # -- Kac-Peterson closed form -------------------------------------------------

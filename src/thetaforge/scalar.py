@@ -15,10 +15,12 @@ dot product of the coefficients against a cached table of 2**F cos and
 bound stated on CycScalar.embed.
 
 Also provided: quantized integers [n]; Combination, the sparse sum of
-basis elements that Laurent polynomials, torus skeins and Heisenberg
-group-algebra elements share; Laurent polynomials over Q for
-generic-parameter computations; and ComplexAP, the parts of an embedded
-value (arithmetic goes through to_mpc).
+basis elements that Laurent polynomials, torus skeins, Heisenberg
+group-algebra elements and the fusion ring share; chebyshev_s, the
+Chebyshev recurrence S_{n+1} = x S_n - S_{n-1} in any of these rings;
+Laurent polynomials over Q for generic-parameter computations; and
+ComplexAP, the parts of an embedded value (arithmetic goes through
+to_mpc).
 """
 from __future__ import annotations
 
@@ -512,12 +514,13 @@ def gauss_sum(j: int, r: int) -> CycScalar:
 class Combination:
     """A finite sum of basis elements, stored as terms = {key: coefficient}.
 
-    base names what the sum lives over (an order r, a modulus N or a
-    generic parameter); sums over different bases do not mix.  A subclass
+    base names what the sum lives over (an order r, a modulus N, a level
+    r or a generic parameter); sums over different bases do not mix.  A subclass
     gives its basis by two methods:
 
     - _fold(key) -> (key', factor): the basis element of key is factor
-      times that of the canonical key' (the default keeps every key);
+      times that of the canonical key' (the default keeps every key; a
+      factor of 0 drops the term);
     - _basis_mul(k1, k2) -> [(key, factor), ...]: the product of two basis
       elements.
 
@@ -562,8 +565,11 @@ class Combination:
         self._check(other)
         return self._like([*self.terms.items(), *other.terms.items()])
 
+    def __neg__(self):
+        return self.scaled(-1)
+
     def __sub__(self, other):
-        return self + other * -1
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
@@ -589,6 +595,19 @@ class Combination:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.base!r}, {self.terms!r})"
+
+
+def chebyshev_s(x, one, count):
+    """[S_{-1}(x), S_0(x), ..., S_{count-1}(x)] by S_{n+1} = x S_n - S_{n-1}.
+
+    S_{-1} = one * 0 and S_0 = one, the unit of x's ring; count - 1
+    products by x.  S_{n-1} of a curve colours it by V^n, and S_{n-1}(V^2)
+    is V^n in the fusion ring.
+    """
+    out = [one * 0, one]
+    for _ in range(count - 1):
+        out.append(x * out[-1] - out[-2])
+    return out[: count + 1]
 
 
 class LaurentPoly(Combination):

@@ -1,11 +1,12 @@
 """Ring laws of the sparse combinations and the homomorphism property of
 their representations: Laurent polynomials, torus skeins (generic and at
-roots of unity) and Heisenberg group-algebra elements."""
+roots of unity), Heisenberg group-algebra elements and the fusion ring."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaforge import linalg
 from thetaforge.heisenberg import HeisAlgElt, algebra_rep
+from thetaforge.quantum_group import FusionElement
 from thetaforge.rt_torus import GENERIC, TorusSkein, rt_rep_matrix
 from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi
 
@@ -39,12 +40,20 @@ def _heis(draw, N, count=3):
     return [HeisAlgElt(N, draw(terms)) for _ in range(count)]
 
 
+@st.composite
+def _fusion(draw, r, count=3):
+    # keys reach outside [1, r) so that folding takes part in every law
+    terms = st.dictionaries(st.integers(-r, 3 * r - 1), _SMALL, max_size=3)
+    return [FusionElement(r, draw(terms)) for _ in range(count)]
+
+
 def _ring_laws(x, y, z, one):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert (x + y) * z == x * z + y * z
     assert one * x == x == x * one
     assert (x - x) == x * 0 and not (x - x)
+    assert -x == x * -1
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,6 +76,14 @@ def test_skein_ring_laws(xyz):
 def test_heis_ring_laws(xyz):
     x, y, z = xyz
     _ring_laws(x, y, z, HeisAlgElt.basis(x.base, 0, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 8]).flatmap(_fusion))
+def test_fusion_ring_laws(xyz):
+    x, y, z = xyz
+    _ring_laws(x, y, z, FusionElement.one(x.base))
+    assert x * y == y * x
 
 
 @settings(max_examples=40, deadline=None)

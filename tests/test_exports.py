@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -34,3 +35,19 @@ def test_imports_leave_numpy_unloaded():
         " thetaforge.quantum_group; sys.exit('numpy' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("name", ["linalg", "pillowcase", "quantum_group", "sl2z"])
+def test_exact_modules_do_not_import_mpmath(name):
+    # these modules compute in exact arithmetic only; floats enter through
+    # scalar's embedding and the numeric helpers of rt_torus and heisenberg
+    module = importlib.import_module(f"thetaforge.{name}")
+    with open(module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module)
+    assert not {m for m in imported if m.split(".")[0] == "mpmath"}

@@ -398,15 +398,15 @@ def test_f_of_twist_solve():
 
 def test_twist_skein_egorov():
     # the solved twist intertwines (1,0) -> (1,1)
-    for r in (2, 3, 4, 5, 6):
+    for r in (2, 3, 4, 5, 6, 12, 16):
         m = twist_skein_matrix(r)
         lhs = linalg.mat_mul(m, rt_rep_matrix((1, 0), r))
         rhs = linalg.mat_mul(rt_rep_matrix((1, 1), r), m)
         assert linalg.mat_eq(lhs, rhs)
 
 
-def test_twist_skein_matrix_makes_r_minus_2_products(monkeypatch):
-    # one product per step of S_{n+1} = Y S_n - S_{n-1}, none per coefficient
+def test_twist_and_wilson_make_no_mat_mul(monkeypatch):
+    # S_n runs in the skein algebra; only the result is represented
     calls = []
     real = linalg.mat_mul
 
@@ -416,9 +416,9 @@ def test_twist_skein_matrix_makes_r_minus_2_products(monkeypatch):
 
     monkeypatch.setattr(linalg, "mat_mul", counting)
     for r in (5, 8):
-        calls.clear()
         twist_skein_matrix(r)
-        assert len(calls) == r - 2
+        wilson_matrix(1, 1, 2 * r + 1, r)
+    assert not calls
 
 
 def test_skein_from_matrix():

@@ -49,7 +49,7 @@ CASES = [
     ("fourier_letter", lambda: hz.fourier_word_exact([("X", 1)], 4), ValueError, "unknown generator"),
     # quantum_group
     ("d_iso_index", lambda: qg.d_iso(0, 5), ValueError, "k must lie"),
-    ("fusion_length", lambda: qg.FusionElement(5, (1,)), ValueError, "r-1"),
+    ("fusion_level", lambda: qg.FusionElement(1), ValueError, "r must be >= 2"),
     ("fusion_basis_index", lambda: qg.FusionElement.basis(0, 5), ValueError, "out of range"),
     ("fusion_mixed_levels", lambda: qg.FusionElement.one(4) + qg.FusionElement.one(5), ValueError, "mixed levels"),
     ("fusion_chebyshev_index", lambda: qg.fusion_from_chebyshev(-1, 5), ValueError, ">= 0"),
