@@ -24,7 +24,6 @@ no diagonal operator can intertwine the untransposed column action of T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
@@ -177,31 +176,26 @@ def _as_word(word_or_h):
 
 # -- discrete Fourier transforms --------------------------------------------
 
-def fourier_generator_exact(letter: str, exp: int, N: int):
-    """Exact matrix part of rho(letter^exp); overall positive scalars dropped."""
+def fourier_word_exact(word, N: int):
+    """Exact-part product for a word; overall positive scalars are dropped.
+
+    S^e multiplies |e| times by [t^{2jk}] (conjugated for e < 0), T^e once
+    by diag(t^{-e j^2}).
+    """
     r = _field_order(N)
     zero = CycScalar.zero(r)
-    if letter == "T":
-        return [
-            [t_heis(N, -exp * j * j) if i == j else zero for j in range(N)]
-            for i in range(N)
-        ]
-    if letter == "S":
-        out = None
-        sign = 1 if exp >= 0 else -1
-        for _ in range(abs(exp)):
-            step = [[t_heis(N, sign * 2 * j * k) for k in range(N)] for j in range(N)]
-            out = step if out is None else linalg.mat_mul(out, step)
-        return out if out is not None else linalg.mat_identity(N, CycScalar.one(r))
-    raise ValueError(f"unknown generator {letter!r}")
-
-
-def fourier_word_exact(word, N: int):
-    """Exact-part product for a word; scalar normalization is dropped."""
-    r = _field_order(N)
     out = linalg.mat_identity(N, CycScalar.one(r))
     for letter, exp in word:
-        out = linalg.mat_mul(out, fourier_generator_exact(letter, exp, N))
+        if letter == "S":
+            sign = 1 if exp >= 0 else -1
+            step = [[t_heis(N, sign * 2 * j * k) for k in range(N)] for j in range(N)]
+            for _ in range(abs(exp)):
+                out = linalg.mat_mul(out, step)
+        elif letter == "T":
+            diag = [[t_heis(N, -exp * j * j) if i == j else zero for j in range(N)] for i in range(N)]
+            out = linalg.mat_mul(out, diag)
+        else:
+            raise ValueError(f"unknown generator {letter!r}")
     return out
 
 
@@ -303,19 +297,12 @@ def matrix_to_heisenberg(mat, N: int) -> HeisAlgElt:
 
 # -- theta vectors and the abelian surgery element ---------------------------
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """Coefficient vector over the N abelian theta functions."""
-
-    coeffs: tuple
-
-
-def omega_u1(N: int) -> ThetaVector:
-    """The constant vector N^{-1/2} (1, ..., 1); column 0 of rho(S)."""
+def omega_u1(N: int):
+    """The constant tuple N^{-1/2} (1, ..., 1) over the N theta functions; column 0 of rho(S)."""
     if N % 2 or N < 2:
         raise ValueError("N must be even and >= 2")
     with mpmath.workprec(DEFAULT_PREC_BITS):
-        return ThetaVector(tuple([1 / mpmath.sqrt(N)] * N))
+        return tuple([1 / mpmath.sqrt(N)] * N)
 
 
 # -- Maslov index and the Z-extension ----------------------------------------
@@ -386,7 +373,6 @@ __all__ = [
     "HeisElt",
     "FiniteHeisElt",
     "HeisAlgElt",
-    "ThetaVector",
     "LagrangianLine",
     "heis_mul",
     "heis_reduce",

@@ -1,9 +1,9 @@
 """Small exact linear algebra kernel.
 
-Matrices are plain lists of lists.  ``mat_mul`` and ``mat_vec`` multiply
-CycScalar entries by packed exact dot products; ``mat_inverse`` and
-``RowSpan`` eliminate CycScalar vectors exactly; the other routines need
-entries that support +, -, *, == and truth testing.  Nothing ever rounds.
+Matrices are lists (or tuples) of rows.  ``mat_mul`` and ``mat_vec``
+multiply CycScalar entries by packed exact dot products; ``RowSpan``
+eliminates CycScalar vectors exactly; the other routines need entries that
+support +, -, *, == and truth testing.  Nothing ever rounds.
 """
 from __future__ import annotations
 
@@ -156,24 +156,6 @@ def mat_is_zero(a):
 def mat_identity(n, one):
     zero = one * 0
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(a):
-    """Inverse of a square CycScalar matrix; raises ZeroDivisionError if singular.
-
-    Row i of the inverse combines the rows of a into the i-th unit vector.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("mat_inverse needs a square matrix")
-    span = RowSpan()
-    for row in a:
-        span.add(row)
-    if not n or span.rank < n:
-        raise ZeroDivisionError("singular matrix")
-    zero, one = CycScalar.zero(a[0][0].r), CycScalar.one(a[0][0].r)
-    solved = [span.solve([one if j == i else zero for j in range(n)]) for i in range(n)]
-    return [[c.get(k, zero) for k in range(n)] for c in solved]
 
 
 def _reduce(rows, vec):

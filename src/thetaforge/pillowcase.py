@@ -167,12 +167,6 @@ def _generators(r):
     return [weyl_cos_matrix(CosObservable(1, 0), r), weyl_cos_matrix(CosObservable(0, 1), r)]
 
 
-def generated_algebra_span(r: int):
-    """Exact RowSpan of words in the two generating cosine operators."""
-    ident = linalg.mat_identity(r - 1, CycScalar.one(r))
-    return _spin(_generators(r), ident, linalg.mat_mul, linalg.flatten, (r - 1) ** 2)
-
-
 def svn_irreducibility(r: int):
     """Cyclic-vector and commutant evidence for irreducibility.
 
@@ -269,5 +263,4 @@ __all__ = [
     "wilson_cos_matrix",
     "equivalence_check",
     "svn_irreducibility",
-    "generated_algebra_span",
 ]

@@ -16,7 +16,6 @@ evaluated exactly in Q(zeta_4r), reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import linalg
 from .rt_torus import eta_inverse_square
@@ -38,15 +37,14 @@ class QGroupRep:
     def relations_hold(self) -> bool:
         """All defining relations, K^{4r} = 1, and nilpotency of X and Y."""
         k, r = self.k, self.r
-        X = [list(row) for row in self.X]
-        Y = [list(row) for row in self.Y]
-        K = [list(row) for row in self.K]
-        one = CycScalar.one(r)
-        ident = linalg.mat_identity(k, one)
-        kinv = linalg.mat_inverse(K)
-        t2 = t_power(r, 2)
-        if not linalg.mat_eq(linalg.mat_mul(K, kinv), ident):
+        X, Y, K = self.X, self.Y, self.K
+        ident = linalg.mat_identity(k, CycScalar.one(r))
+        kinv = K  # K^{4r-1}: the inverse of K exactly when K^{4r} = 1
+        for _ in range(4 * r - 2):
+            kinv = linalg.mat_mul(kinv, K)
+        if not linalg.mat_eq(linalg.mat_mul(kinv, K), ident):
             return False
+        t2 = t_power(r, 2)
         if not linalg.mat_eq(linalg.mat_mul(K, X), linalg.mat_scale(t2, linalg.mat_mul(X, K))):
             return False
         if not linalg.mat_eq(
@@ -59,11 +57,6 @@ class QGroupRep:
         denom = (t_power(r, 2) - t_power(r, -2)).inverse()
         rhs = linalg.mat_scale(denom, linalg.mat_sub(k2, k2inv))
         if not linalg.mat_eq(comm, rhs):
-            return False
-        kp = ident
-        for _ in range(4 * self.r):
-            kp = linalg.mat_mul(kp, K)
-        if not linalg.mat_eq(kp, ident):
             return False
         xp, yp = X, Y
         for _ in range(k - 1):
@@ -111,19 +104,14 @@ def _freeze(mat):
     return tuple(tuple(row) for row in mat)
 
 
-class DualityIso(NamedTuple):
-    matrix: list
-    branch: str  # which square root of -t^2 was used for odd weights
-
-
-def d_iso(k: int, r: int) -> DualityIso:
-    """The isomorphism V^{k*} -> V^k intertwining the two actions.
+def d_iso(k: int, r: int):
+    """Matrix of the isomorphism V^{k*} -> V^k intertwining the two actions.
 
     e^j maps to a multiple of e_{-j}; the ratio of consecutive scalars is
     forced by intertwining X to c_j / c_{j-1} = -t^2 [k0+j]/[k0-j+1],
     giving c_j = (-t^2)^j [k0+j]! [k0-j]! / [2k0]!.  For even k the
     half-integer power (-t^2)^j is read as nu^{2j} with nu^2 = -t^2;
-    nu = i t = t^{r+1} is the recorded branch (the other choice only
+    nu = i t = t^{r+1} is always the branch taken (the other choice only
     flips the global sign, which intertwines equally well).
     """
     if not 1 <= k <= r - 1:
@@ -139,14 +127,12 @@ def d_iso(k: int, r: int) -> DualityIso:
         )
     if not _intertwines(D, dual_rep(k, r), irrep(k, r)):
         raise ArithmeticError(f"the nu = i*t matrix does not intertwine V^{k}* with V^{k}")
-    return DualityIso(D, "+i*t")
+    return D
 
 
 def _intertwines(D, dual: QGroupRep, std: QGroupRep) -> bool:
     for g_dual, g_std in ((dual.X, std.X), (dual.Y, std.Y), (dual.K, std.K)):
-        lhs = linalg.mat_mul(D, [list(r_) for r_ in g_dual])
-        rhs = linalg.mat_mul([list(r_) for r_ in g_std], D)
-        if not linalg.mat_eq(lhs, rhs):
+        if not linalg.mat_eq(linalg.mat_mul(D, g_dual), linalg.mat_mul(g_std, D)):
             return False
     return True
 
@@ -192,10 +178,14 @@ def clebsch_gordan_range(m: int, n: int, r: int):
 
 
 def fusion_from_chebyshev(n: int, r: int) -> FusionElement:
-    """S_{n-1}(V^2) evaluated in the fusion ring."""
+    """S_{n-1}(V^2) in the fusion ring: V^n, folded to sign * S_{idx-1}(V^2)
+    by (sign, idx) = index_fold(n, r), so the cost does not grow with n."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return chebyshev_s(FusionElement(r, {2: 1}), FusionElement.one(r), n)[-1]
+    sign, idx = index_fold(n, r)
+    if not sign:
+        return FusionElement(r)
+    return chebyshev_s(FusionElement(r, {2: 1}), FusionElement.one(r), idx)[-1].scaled(sign)
 
 
 def fusion_matrix(a: int, r: int):
@@ -361,7 +351,6 @@ def verlinde_numeric(genus: int, r: int) -> int:
 
 __all__ = [
     "QGroupRep",
-    "DualityIso",
     "FusionElement",
     "TrivalentGraph",
     "irrep",

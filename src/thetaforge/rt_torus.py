@@ -22,7 +22,6 @@ field.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -37,6 +36,7 @@ from .scalar import (
     LaurentPoly,
     chebyshev_s,
     embed_matrix,
+    gauss_sum,
     index_fold,
     qint,
     t_power,
@@ -98,28 +98,17 @@ class TorusSkein(Combination):
 
 # -- the solid-torus module ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SolidTorusVector:
-    """Coefficients over the basis V^1(a), ..., V^{r-1}(a)."""
-
-    r: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.r - 1:
-            raise ValueError("coefficient length must be r-1")
-
-
-def project_solid_torus(s: TorusSkein) -> SolidTorusVector:
+def project_solid_torus(s: TorusSkein):
     """Image of a skein under gluing the cylinder to the solid torus.
 
     On basis curves, pi((p,q)_T) = t^{-pq} (t^{-2q} S_p(a) - t^{2q} S_{p-2}(a)),
     the multiplication of (p,q)_T into the empty solid torus V^1: column
-    V^1 of rt_rep_matrix.  The order r is s.base.
+    V^1 of rt_rep_matrix, as a tuple over V^1(a), ..., V^{r-1}(a).  The
+    order r is s.base.
     """
     if s.base == GENERIC:
         raise ValueError("projection needs a reduced skein")
-    return SolidTorusVector(s.base, tuple(row[0] for row in rt_rep_matrix(s, s.base)))
+    return tuple(row[0] for row in rt_rep_matrix(s, s.base))
 
 
 def rt_rep_matrix(s, r: int):
@@ -154,14 +143,20 @@ def rt_rep_matrix(s, r: int):
 def wilson_matrix(p: int, q: int, n: int, r: int):
     """Operator of the holonomy trace along primitive (p,q) in dimension n.
 
-    The operator of the skein S_{n-1}((p,q)_T); satisfies the vanishing at
-    n = r and the 2r-periodic sign folding in n.
+    The operator of the skein S_{n-1}((p,q)_T).  Its eigenvalues are
+    sin(pi nj/r) / sin(pi j/r), so it folds in n like V^n: it is sign times
+    the operator at idx < r, (sign, idx) = index_fold(n, r), and its cost
+    does not grow with n.  pillowcase.wilson_cos_matrix does not fold.
     """
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError("(p,q) must be coprime; parallel copies are the basis curve (p,q)_T")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    return rt_rep_matrix(chebyshev_s(TorusSkein.curve(p, q, r), TorusSkein.unit(r), n)[-1], r)
+    sign, idx = index_fold(n, r)
+    if not sign:
+        return rt_rep_matrix(TorusSkein.zero(r), r)
+    skein = chebyshev_s(TorusSkein.curve(p, q, r), TorusSkein.unit(r), idx)[-1]
+    return rt_rep_matrix(skein.scaled(sign), r)
 
 
 # -- modular data -------------------------------------------------------------
@@ -186,10 +181,10 @@ def eta_numeric(r: int, precision_bits: int = DEFAULT_PREC_BITS):
         return mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(1) / r)
 
 
-def omega_su2(r: int) -> SolidTorusVector:
-    """The surgery-curve color eta * sum_j [j] V^j, numerically normalized."""
+def omega_su2(r: int):
+    """The surgery-curve color eta * sum_j [j] V^j, numeric, as a tuple over V^1..V^{r-1}."""
     (coeffs,) = embed_matrix([quantum_dimension_vector(r)], eta_numeric(r))
-    return SolidTorusVector(r, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def quantum_dimension_vector(r: int):
@@ -208,11 +203,6 @@ def _twist_diag(r: int, e: int):
 def rho_T(r: int):
     """diag(t^{j^2 - 1}), the positive-twist transform (exact)."""
     return _twist_diag(r, 1)
-
-
-def rho_S_exact(r: int):
-    """Exact part of rho(S); the true matrix is eta times this."""
-    return hopf_gram(r)
 
 
 def rho_S(r: int):
@@ -262,15 +252,13 @@ def f_of_twist_solve(r: int):
     """Solve sum_j [kj] c_j = [k] t^{-k^2} for the twist coefficients.
 
     The Gram matrix inverts to (sum [j]^2)^{-1} times itself, so
-    c_j = gauss_sum(j, r) / sum [j]^2, and the ratio c_j / ([j] t^{j^2})
-    is checked to be j-independent before returning.
+    c_j = gauss_sum(j, r) / sum [j]^2, and c is checked to be exactly
+    proportional to ([j] t^{j^2})_j before returning (one division).
     """
-    from .scalar import gauss_sum
-
     norm = eta_inverse_square(r).inverse()
     c = [gauss_sum(j, r) * norm for j in range(1, r)]
-    ratios = [c[j - 1] / (qint(j, r) * t_power(r, j * j)) for j in range(1, r)]
-    if any(x != ratios[0] for x in ratios):
+    shape = [qint(j, r) * t_power(r, j * j) for j in range(1, r)]
+    if _exact_proportionality([c], [shape], r) is None:
         raise ArithmeticError("twist coefficients do not follow [j] t^{j^2}")
     return c
 
@@ -359,25 +347,15 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
 
 
 def _exact_proportionality(m1, m2, r):
-    """m1 = scalar * m2 exactly? Returns the scalar or None."""
-    n = len(m1)
-    pivot = None
-    for i in range(n):
-        for j in range(n):
-            if m2[i][j]:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+    """m1 = scalar * m2 exactly, for matrices of one shape? Returns the scalar or None."""
+    pivot = next(((i, j) for i, row in enumerate(m2) for j, x in enumerate(row) if x), None)
     if pivot is None:
         return CycScalar.one(r) if linalg.mat_is_zero(m1) else None
-    pi, pj = pivot
-    scalar = m1[pi][pj] / m2[pi][pj]
-    for i in range(n):
-        for j in range(n):
-            if m1[i][j] != scalar * m2[i][j]:
-                return None
-    return scalar
+    i, j = pivot
+    scalar = m1[i][j] / m2[i][j]
+    if all(x == scalar * y for row1, row2 in zip(m1, m2) for x, y in zip(row1, row2)):
+        return scalar
+    return None
 
 
 # -- reconstruction and presentation ------------------------------------------
@@ -523,9 +501,7 @@ def presentation_check_generic():
 __all__ = [
     "GENERIC",
     "TorusSkein",
-    "SolidTorusVector",
     "canonical_curve",
-    "index_fold",
     "project_solid_torus",
     "rt_rep_matrix",
     "wilson_matrix",
@@ -536,7 +512,6 @@ __all__ = [
     "quantum_dimension_vector",
     "rho_T",
     "rho_S",
-    "rho_S_exact",
     "rho_word",
     "rho_word_exact",
     "curve_transform",

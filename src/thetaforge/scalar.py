@@ -329,9 +329,6 @@ class CycScalar:
             return hash(Fraction(self.num[0], self.den))
         return hash((self.r, self.num, self.den))
 
-    def is_zero(self):
-        return not any(self.num)
-
     def __bool__(self):
         return any(self.num)
 

@@ -1,13 +1,16 @@
 """Ring laws of the sparse combinations and the homomorphism property of
 their representations: Laurent polynomials, torus skeins (generic and at
-roots of unity), Heisenberg group-algebra elements and the fusion ring."""
+roots of unity), Heisenberg group-algebra elements and the fusion ring.
+The label folds of wilson_matrix and fusion_from_chebyshev are checked
+against the unfolded Chebyshev recurrence."""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaforge import linalg
 from thetaforge.heisenberg import HeisAlgElt, algebra_rep
-from thetaforge.quantum_group import FusionElement
-from thetaforge.rt_torus import GENERIC, TorusSkein, rt_rep_matrix
+from thetaforge.quantum_group import FusionElement, fusion_from_chebyshev
+from thetaforge.rt_torus import GENERIC, TorusSkein, rt_rep_matrix, wilson_matrix
 from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi
 
 _SMALL = st.integers(-3, 3)
@@ -103,3 +106,44 @@ def test_algebra_rep_is_homomorphism(xy):
     x, y = xy
     assert linalg.mat_eq(algebra_rep(x * y), linalg.mat_mul(algebra_rep(x), algebra_rep(y)))
 
+
+# -- the label folds of wilson_matrix and fusion_from_chebyshev ---------------
+
+def _unfolded_s(x, one, n):
+    """S_{n-1}(x) by the plain recurrence, with no fold."""
+    a, b = one * 0, one
+    for _ in range(n):
+        a, b = b, x * b - a
+    return a
+
+
+def _near_1e18(r):
+    """A multiple of the 2r period of the folds, close to 10**18."""
+    return 10**18 // (2 * r) * (2 * r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_wilson_fold_matches_unfolded_recurrence(r):
+    big = _near_1e18(r)
+    for p, q in ((1, 0), (0, 1), (1, 1), (2, -1), (3, 2)):
+        curve, unit = TorusSkein.curve(p, q, r), TorusSkein.unit(r)
+        for n in range(2 * r + 2):
+            want = rt_rep_matrix(_unfolded_s(curve, unit, n), r)
+            assert wilson_matrix(p, q, n, r) == want, (p, q, n)
+            # period 2r and V^{-n} = -V^n, at labels no recurrence could reach
+            assert wilson_matrix(p, q, big + n, r) == want, (p, q, n)
+            if n:
+                minus = rt_rep_matrix(_unfolded_s(curve, unit, n).scaled(-1), r)
+                assert wilson_matrix(p, q, big - n, r) == minus, (p, q, n)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_fusion_fold_matches_unfolded_recurrence(r):
+    big = _near_1e18(r)
+    v2, one = FusionElement(r, {2: 1}), FusionElement.one(r)
+    for n in range(2 * r + 2):
+        want = _unfolded_s(v2, one, n)
+        assert fusion_from_chebyshev(n, r) == want, n
+        assert fusion_from_chebyshev(big + n, r) == want, n
+        if n:
+            assert fusion_from_chebyshev(big - n, r) == -want, n

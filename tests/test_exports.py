@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -24,6 +25,20 @@ def test_all_names_resolve_and_star_import(module):
     namespace = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if hasattr(m, "__all__")], ids=lambda m: m.__name__
+)
+def test_all_exports_are_defined_in_their_module(module):
+    # a re-export is a second public name for one object
+    objects = [getattr(module, name) for name in module.__all__]
+    foreign = [
+        f"{obj.__module__}.{obj.__qualname__}"
+        for obj in objects
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != module.__name__
+    ]
+    assert not foreign, foreign
 
 
 def test_imports_leave_numpy_unloaded():

@@ -232,6 +232,10 @@ def test_exact_egorov_generators():
     for N in (2, 4, 6):
         assert _exact_egorov_ok([("S", 1)], N)
         assert _exact_egorov_ok([("T", 1)], N)
+        # S^0 is the identity and multiplies nothing in
+        word = [("S", -1), ("S", 0), ("T", 2)]
+        assert _exact_egorov_ok(word, N)
+        assert fourier_word_exact(word, N) == fourier_word_exact([("S", -1), ("T", 2)], N)
 
 
 _WORD = st.lists(
@@ -367,15 +371,15 @@ def test_matrix_to_heisenberg_of_fourier_t():
 
 def test_omega_u1():
     om = omega_u1(4)
-    assert len(om.coeffs) == 4
-    assert abs(om.coeffs[0] - 0.5) < 1e-30
-    norm = sum(abs(c) ** 2 for c in om.coeffs)
+    assert len(om) == 4
+    assert abs(om[0] - 0.5) < 1e-30
+    norm = sum(abs(c) ** 2 for c in om)
     assert abs(norm - 1) < 1e-30
     # the shift operator fixes the constant vector; S column 0 matches
     col0 = [row[0] for row in fourier_abelian(S, 4)]
-    ratio = col0[0] / om.coeffs[0]
+    ratio = col0[0] / om[0]
     assert abs(abs(ratio) - 1) < 1e-25
-    assert all(abs(col0[j] - ratio * om.coeffs[j]) < 1e-25 for j in range(4))
+    assert all(abs(col0[j] - ratio * om[j]) < 1e-25 for j in range(4))
 
 
 def test_maslov_examples():

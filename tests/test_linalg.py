@@ -100,7 +100,7 @@ def test_mat_mul_rejects_shape_mismatch():
         linalg.mat_mul([[one, one]], [[one, one], [one]])
 
 
-# -- RowSpan and mat_inverse against a dense schoolbook elimination ----------
+# -- RowSpan against a dense schoolbook elimination -------------------------
 
 def _rank(vectors):
     """Reference rank: dense Gaussian elimination on a copy, column by column."""
@@ -178,36 +178,3 @@ def test_rowspan_matches_dense_elimination(case, data):
         assert coeffs is None
     else:
         assert _combine(coeffs, vectors, r, dim) == target
-
-
-@st.composite
-def _square(draw):
-    r = draw(st.integers(2, 7))
-    n = draw(st.integers(1, 4))
-    density = draw(st.sampled_from((40, 100)))
-    return [[draw(_small_scalar(r, density)) for _ in range(n)] for _ in range(n)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(_square())
-def test_mat_inverse_is_two_sided_or_raises(a):
-    n, r = len(a), a[0][0].r
-    if _rank(a) < n:
-        with pytest.raises(ZeroDivisionError, match="singular"):
-            linalg.mat_inverse(a)
-        return
-    inv = linalg.mat_inverse(a)
-    ident = linalg.mat_identity(n, CycScalar.one(r))
-    assert linalg.mat_mul(a, inv) == ident
-    assert linalg.mat_mul(inv, a) == ident
-
-
-def test_mat_inverse_rejects_singular_and_non_square():
-    r = 4
-    row = [t_power(r, 1), CycScalar.from_fraction(Fraction(2, 3), r), t_power(r, 5)]
-    with pytest.raises(ZeroDivisionError, match="singular"):
-        linalg.mat_inverse([row, [CycScalar.zero(r)] * 3, [t_power(r, 2)] * 3])
-    with pytest.raises(ZeroDivisionError, match="singular"):
-        linalg.mat_inverse([row, [x * 5 for x in row], [t_power(r, 2)] * 3])
-    with pytest.raises(ValueError, match="square"):
-        linalg.mat_inverse([row, row])

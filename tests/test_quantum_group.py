@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +42,7 @@ def test_irrep_commutator_oracle():
     )
     # weights are -1, 0, 1: the commutator is diag([2j]) = diag([-2],[0],[2])
     assert comm[0][0] == qint(-2, 5)
-    assert comm[1][1].is_zero()
+    assert not comm[1][1]
     assert comm[2][2] == qint(2, 5)
 
 
@@ -50,6 +51,23 @@ def test_all_relations_hold():
         for k in range(1, r):
             assert irrep(k, r).relations_hold(), (k, r, "irrep")
             assert dual_rep(k, r).relations_hold(), (k, r, "dual")
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda rep: replace(rep, K=linalg.mat_scale(2, rep.K)),  # K^{4r} != 1
+        lambda rep: replace(rep, K=linalg.mat_scale(0, rep.K)),  # K singular
+        lambda rep: replace(rep, X=linalg.mat_scale(2, rep.X)),  # [X, Y] off by 2
+        lambda rep: replace(rep, X=rep.Y),  # KX != t^2 XK
+    ],
+    ids=["K_times_2", "K_zero", "X_times_2", "X_is_Y"],
+)
+def test_relations_fail_on_broken_rep(broken):
+    for r in (3, 5):
+        for k in range(2, r):
+            assert not broken(irrep(k, r)).relations_hold(), (k, r)
+            assert not broken(dual_rep(k, r)).relations_hold(), (k, r)
 
 
 def test_irrep_rejects_out_of_range():
@@ -69,7 +87,7 @@ def test_dual_rep_k_diagonal():
 
 def test_d_iso_trivial():
     iso = d_iso(1, 5)
-    assert iso.matrix[0][0] == CycScalar.one(5)
+    assert iso[0][0] == CycScalar.one(5)
 
 
 def test_d_iso_intertwines_everywhere():
@@ -79,18 +97,18 @@ def test_d_iso_intertwines_everywhere():
             dual = dual_rep(k, r)
             std = irrep(k, r)
             for g_dual, g_std in ((dual.X, std.X), (dual.Y, std.Y), (dual.K, std.K)):
-                lhs = linalg.mat_mul(iso.matrix, [list(row) for row in g_dual])
-                rhs = linalg.mat_mul([list(row) for row in g_std], iso.matrix)
+                lhs = linalg.mat_mul(iso, g_dual)
+                rhs = linalg.mat_mul(g_std, iso)
                 assert linalg.mat_eq(lhs, rhs), (k, r)
 
 
 def test_d_iso_invertible():
     for r in range(2, 9):
         for k in range(1, r):
-            mat = d_iso(k, r).matrix
+            mat = d_iso(k, r)
             # antidiagonal with nonzero entries
             for i in range(k):
-                assert not mat[k - 1 - i][i].is_zero()
+                assert mat[k - 1 - i][i]
 
 
 def test_fusion_unit():

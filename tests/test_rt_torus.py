@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaforge import linalg
+from thetaforge import linalg, rt_torus
 from thetaforge.rt_torus import (
     GENERIC,
     TorusSkein,
+    _exact_proportionality,
     curve_transform,
     eta_inverse_square,
     eta_numeric,
     f_of_twist_solve,
     hopf_gram,
-    index_fold,
     omega_su2,
     presentation_check,
     presentation_check_generic,
     project_solid_torus,
     quantum_dimension_vector,
     rho_S,
-    rho_S_exact,
     rho_T,
     rho_kac_peterson,
     rho_word,
@@ -31,7 +30,7 @@ from thetaforge.rt_torus import (
     twist_skein_matrix,
     wilson_matrix,
 )
-from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi, qint, t_power
+from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi, index_fold, qint, t_power
 from thetaforge.sl2z import S, SL2Z, T, random_word, sl2z_decompose, word_matrix
 
 
@@ -85,19 +84,17 @@ def test_index_fold():
 def test_project_solid_torus():
     r = 5
     pi = project_solid_torus(TorusSkein.curve(1, 0, r))
-    assert pi.coeffs[1] == CycScalar.one(r)
-    assert all(c.is_zero() for i, c in enumerate(pi.coeffs) if i != 1)
+    assert pi[1] == CycScalar.one(r)
+    assert all(not c for i, c in enumerate(pi) if i != 1)
 
     for q in (-2, 1, 3):
         pi = project_solid_torus(TorusSkein.curve(0, q, r))
         want = t_power(r, 2 * q) + t_power(r, -2 * q)
-        assert pi.coeffs[0] == want
-        assert all(c.is_zero() for c in pi.coeffs[1:])
+        assert pi[0] == want
+        assert all(not c for c in pi[1:])
 
     pi = project_solid_torus(TorusSkein.curve(2, 0, r))
-    assert pi.coeffs[2] == CycScalar.one(r)
-    assert pi.coeffs[0] == -CycScalar.one(r)
-    assert pi.coeffs[1].is_zero() and pi.coeffs[3].is_zero()
+    assert pi == (-CycScalar.one(r), CycScalar.zero(r), CycScalar.one(r), CycScalar.zero(r))
 
 
 def test_project_matches_rep_column_one():
@@ -108,7 +105,7 @@ def test_project_matches_rep_column_one():
             p, q = rng.randint(-6, 6), rng.randint(-6, 6)
             pi = project_solid_torus(TorusSkein.curve(p, q, r))
             col = [row[0] for row in rt_rep_matrix((p, q), r)]
-            assert list(pi.coeffs) == col
+            assert list(pi) == col
 
 
 def _cplx(mat):
@@ -138,7 +135,7 @@ def test_rep_eigenvalues_of_meridian():
             assert mat[j - 1][j - 1] == want
             for i in range(1, r):
                 if i != j:
-                    assert mat[i - 1][j - 1].is_zero()
+                    assert not mat[i - 1][j - 1]
 
 
 def test_rep_is_algebra_homomorphism():
@@ -195,18 +192,18 @@ def test_hopf_gram_nondegenerate():
     # G^2 = (sum [j]^2) Id with a nonzero scalar forces det(G) != 0
     for r in range(2, 13):
         scalar = eta_inverse_square(r)
-        assert not scalar.is_zero()
+        assert scalar
 
 
 def test_omega_su2():
     with mpmath.workprec(120):
         om = omega_su2(3)
         c = 1 / mpmath.sqrt(2)
-        assert abs(om.coeffs[0] - c) < 1e-25 and abs(om.coeffs[1] - c) < 1e-25
+        assert abs(om[0] - c) < 1e-25 and abs(om[1] - c) < 1e-25
         for r in (3, 5, 8):
             om = omega_su2(r)
             col = [row[0] for row in rho_S(r)]
-            assert all(abs(a - b) < 1e-25 for a, b in zip(om.coeffs, col))
+            assert all(abs(a - b) < 1e-25 for a, b in zip(om, col))
 
 
 def test_omega_annihilation_rows():
@@ -215,7 +212,7 @@ def test_omega_annihilation_rows():
         g = hopf_gram(r)
         image = linalg.mat_vec(g, quantum_dimension_vector(r))
         assert image[0] == eta_inverse_square(r)
-        assert all(x.is_zero() for x in image[1:])
+        assert all(not x for x in image[1:])
 
 
 def test_rho_t():
@@ -240,7 +237,7 @@ def test_rho_s_squares_to_identity():
             for j in range(2):
                 assert abs(got[i][j] - want[i][j]) < 1e-25
     for r in range(2, 13):
-        g = rho_S_exact(r)
+        g = hopf_gram(r)
         sq = linalg.mat_mul(g, g)
         want = linalg.mat_scale(
             eta_inverse_square(r), linalg.mat_identity(r - 1, CycScalar.one(r))
@@ -326,14 +323,14 @@ def test_kac_peterson_generators():
         rt = rho_T(r)
         for i in range(r - 1):
             assert all(
-                kp.matrix[i][j].is_zero() == rt[i][j].is_zero() for j in range(r - 1)
+                bool(kp.matrix[i][j]) == bool(rt[i][j]) for j in range(r - 1)
             )
         ratio = kp.matrix[0][0] / rt[0][0]
         for i in range(r - 1):
             for j in range(r - 1):
                 assert kp.matrix[i][j] == ratio * rt[i][j]
         kp = rho_kac_peterson(S, r)
-        gram = rho_S_exact(r)
+        gram = hopf_gram(r)
         ratio = kp.matrix[0][0] / gram[0][0]
         for i in range(r - 1):
             for j in range(r - 1):
@@ -394,6 +391,24 @@ def test_f_of_twist_solve():
         c = f_of_twist_solve(r)
         ratios = {c[j - 1] / (qint(j, r) * t_power(r, j * j)) for j in range(1, r)}
         assert len(ratios) == 1
+
+
+def test_f_of_twist_solve_rejects_wrong_shape(monkeypatch):
+    real = rt_torus.gauss_sum
+    monkeypatch.setattr(rt_torus, "gauss_sum", lambda j, r: real(j, r) * (2 if j == r - 1 else 1))
+    with pytest.raises(ArithmeticError, match="do not follow"):
+        f_of_twist_solve(5)
+
+
+def test_exact_proportionality_any_shape():
+    r = 5
+    one, t = CycScalar.one(r), t_power(r, 1)
+    zero = one * 0
+    row = [[zero, qint(2, r), t]]
+    assert _exact_proportionality([[x * t for x in row[0]]], row, r) == t
+    assert _exact_proportionality([[one, qint(2, r) * t, t * t]], row, r) is None
+    assert _exact_proportionality([[zero], [zero]], [[zero], [zero]], r) == one
+    assert _exact_proportionality([[zero], [one]], [[zero], [zero]], r) is None
 
 
 def test_twist_skein_egorov():
