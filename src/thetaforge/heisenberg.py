@@ -20,6 +20,7 @@ transpose of T.  That pairing is forced: the twist skein that solves the
 intertwining equation (1,1) F(T) = F(T) (1,0) has coefficients t^{j^2}
 on (0,j) and represents as diag(t^{-j^2}) up to a Gauss-sum scalar, and
 no diagonal operator can intertwine the untransposed column action of T.
+The transforms take words over {S, T}, as sl2z_decompose writes them.
 """
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ from typing import NamedTuple
 
 import mpmath
 
-from .scalar import Combination, CycScalar, DEFAULT_PREC_BITS, embed_matrix
+from .scalar import Combination, CycScalar, DEFAULT_PREC_BITS, embed_matrix, t_power
 from . import linalg
-from .sl2z import S, T, SL2Z, _word_product, sl2z_decompose
+from .sl2z import S, T, SL2Z, _word_product
 
 
 class HeisElt(NamedTuple):
@@ -83,7 +84,7 @@ def _field_order(N: int) -> int:
 
 def t_heis(N: int, e: int) -> CycScalar:
     """t^e with t = exp(i*pi/N), as an exact cyclotomic scalar."""
-    return CycScalar.root_power(_field_order(N), e)
+    return t_power(_field_order(N), e)
 
 
 def schrodinger_matrix(e: FiniteHeisElt):
@@ -164,14 +165,8 @@ def mcg_action_abelian(h: SL2Z, e: HeisElt) -> HeisElt:
 _OBS_IMAGE = {"S": S, "T": T.transpose()}
 
 
-def observable_action_matrix(word_or_h) -> SL2Z:
-    return _word_product(_as_word(word_or_h), _OBS_IMAGE)
-
-
-def _as_word(word_or_h):
-    if isinstance(word_or_h, SL2Z):
-        return sl2z_decompose(word_or_h)
-    return list(word_or_h)
+def observable_action_matrix(word) -> SL2Z:
+    return _word_product(word, _OBS_IMAGE)
 
 
 # -- discrete Fourier transforms --------------------------------------------
@@ -179,18 +174,20 @@ def _as_word(word_or_h):
 def fourier_word_exact(word, N: int):
     """Exact-part product for a word; overall positive scalars are dropped.
 
-    S^e multiplies |e| times by [t^{2jk}] (conjugated for e < 0), T^e once
-    by diag(t^{-e j^2}).
+    F = [t^{2jk}] squares to N times the parity permutation P: j -> -j, so
+    S^e is F^{e mod 2} P^{|e|//2} (F conjugated for e < 0), P reversing the
+    columns; T^e multiplies once by diag(t^{-e j^2}).
     """
     r = _field_order(N)
     zero = CycScalar.zero(r)
     out = linalg.mat_identity(N, CycScalar.one(r))
     for letter, exp in word:
         if letter == "S":
-            sign = 1 if exp >= 0 else -1
-            step = [[t_heis(N, sign * 2 * j * k) for k in range(N)] for j in range(N)]
-            for _ in range(abs(exp)):
-                out = linalg.mat_mul(out, step)
+            if exp % 2:
+                sign = 1 if exp > 0 else -1
+                out = linalg.mat_mul(out, [[t_heis(N, sign * 2 * j * k) for k in range(N)] for j in range(N)])
+            if abs(exp) // 2 % 2:
+                out = [[row[-j % N] for j in range(N)] for row in out]
         elif letter == "T":
             diag = [[t_heis(N, -exp * j * j) if i == j else zero for j in range(N)] for i in range(N)]
             out = linalg.mat_mul(out, diag)
@@ -199,45 +196,25 @@ def fourier_word_exact(word, N: int):
     return out
 
 
-def fourier_abelian(h, N: int):
-    """Unitary rho(h) as an mpmath matrix (list of rows), phase-normalized.
+def fourier_abelian(word, N: int):
+    """Unitary rho(word) as an mpmath matrix (list of rows).
 
-    h may be an SL2Z matrix or a word over {S, T}.  The result conjugates
-    the theta-basis action of b(p,q) to that of observable_action_matrix(h)
-    applied to (p,q); it is canonical up to the remaining 2pi/N phase
-    window, which is fixed on the first nonzero entry of column 0.  It is
-    N^{-s/2} times the embedding of fourier_word_exact, s the number of S
-    letters counted with multiplicity.
+    It conjugates the theta-basis action of b(p,q) to that of
+    observable_action_matrix(word) applied to (p,q).  It is N^{-s/2} times
+    the embedding of fourier_word_exact, s the number of S letters of odd
+    exponent.
     """
-    word = _as_word(h)
-    s_count = sum(abs(exp) for letter, exp in word if letter == "S")
+    s_count = sum(1 for letter, exp in word if letter == "S" and exp % 2)
     with mpmath.workprec(DEFAULT_PREC_BITS):
         scale = mpmath.sqrt(N) ** -s_count
-        return _phase_normalize(embed_matrix(fourier_word_exact(word, N), scale), N)
-
-
-def _phase_normalize(mat, N):
-    n = len(mat)
-    top = max(abs(mat[i][j]) for i in range(n) for j in range(n))
-    entry = None
-    for i in range(n):
-        if abs(mat[i][0]) > top * mpmath.mpf(2) ** -40:
-            entry = mat[i][0]
-            break
-    if entry is None:
-        return mat
-    window = 2 * mpmath.pi / N
-    phi = mpmath.arg(entry) % (2 * mpmath.pi)
-    shift = mpmath.floor(phi / window) * window
-    scale = mpmath.expj(-shift)
-    return [[x * scale for x in row] for row in mat]
+        return embed_matrix(fourier_word_exact(word, N), scale)
 
 
 def f_of_t_skein(N: int) -> HeisAlgElt:
     """The twist skein sum_j t^{j^2} b(0,j); unit norm needs a 1/sqrt(N) factor.
 
     Its theta-basis representation is a Gauss-sum multiple of diag(t^{-j^2}),
-    i.e. of fourier_abelian(T, N).
+    i.e. of fourier_abelian([("T", 1)], N).
     """
     if N % 2 or N < 2:
         raise ValueError("N must be even and >= 2")

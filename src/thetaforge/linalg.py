@@ -1,9 +1,9 @@
 """Small exact linear algebra kernel.
 
-Matrices are lists (or tuples) of rows.  ``mat_mul`` and ``mat_vec``
-multiply CycScalar entries by packed exact dot products; ``RowSpan``
-eliminates CycScalar vectors exactly; the other routines need entries that
-support +, -, *, == and truth testing.  Nothing ever rounds.
+Matrices are lists (or tuples) of rows, a vector an n x 1 column.
+``mat_mul`` multiplies CycScalar entries by packed exact dot products;
+``RowSpan`` eliminates CycScalar vectors exactly; the other routines need
+entries that support +, -, *, == and truth testing.  Nothing ever rounds.
 """
 from __future__ import annotations
 
@@ -126,11 +126,6 @@ def mat_mul(a, b):
             )
         out.append(row)
     return out
-
-
-def mat_vec(a, v):
-    """a times the column vector v, as a list; CycScalar entries only."""
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def mat_add(a, b):

@@ -14,7 +14,6 @@ skein-algebra matrices (rt_torus) is a checked theorem, not shared code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -58,19 +57,11 @@ def weyl_cos_matrix(obs, r: int):
     return mat
 
 
-@dataclass(frozen=True)
-class WilsonCombination:
-    """W_{gamma,n} written in the cosine basis: sum of cosines plus a constant."""
-
-    cosines: tuple
-    constant: int
-
-
-def wilson_decompose(p: int, q: int, n: int) -> WilsonCombination:
+def wilson_decompose(p: int, q: int, n: int):
     """Expand the n-dimensional Wilson line of the primitive curve (p,q).
 
     sin(n u)/sin(u) = sum over m = n-1, n-3, ... of 2cos(m u), the m = 0
-    term contributing 1; here u = 2pi(px+qy).
+    term contributing 1; here u = 2pi(px+qy).  Returns (cosines, constant).
     """
     if (p, q) == (0, 0):
         raise ValueError("need a curve, not the constant map")
@@ -85,24 +76,18 @@ def wilson_decompose(p: int, q: int, n: int) -> WilsonCombination:
             constant = 1
         else:
             cosines.append(CosObservable(m * p, m * q))
-    return WilsonCombination(tuple(cosines), constant)
+    return tuple(cosines), constant
 
 
 def wilson_cos_matrix(p: int, q: int, n: int, r: int):
     """W_{gamma,n} recomposed through the cosine quantization."""
-    comb = wilson_decompose(p, q, n)
+    cosines, constant = wilson_decompose(p, q, n)
     size = r - 1
     acc = [[CycScalar.zero(r)] * size for _ in range(size)]
-    for obs in comb.cosines:
+    for obs in cosines:
         acc = linalg.mat_add(acc, weyl_cos_matrix(obs, r))
-    if comb.constant:
-        acc = linalg.mat_add(
-            acc,
-            linalg.mat_scale(
-                CycScalar.from_int(comb.constant, r),
-                linalg.mat_identity(size, CycScalar.one(r)),
-            ),
-        )
+    if constant:
+        acc = linalg.mat_add(acc, linalg.mat_identity(size, CycScalar.one(r)))
     return acc
 
 
@@ -138,8 +123,8 @@ def equivalence_check(r: int):
     return {"r": r, "checked": checked, "mismatches": mismatches}
 
 
-def _spin(gens, start, act, flat, dim):
-    """RowSpan of flat(w(start)) over the words w in gens, g acting by act(g, m).
+def _spin(gens, start, dim):
+    """RowSpan of flatten(w(start)) over the words w in gens, start a matrix or column.
 
     Breadth first: each round applies every generator to the elements the
     previous round added, so an element that enlarged nothing is never
@@ -147,14 +132,14 @@ def _spin(gens, start, act, flat, dim):
     cannot grow, so the stop is exact.
     """
     span = linalg.RowSpan()
-    span.add(flat(start))
+    span.add(linalg.flatten(start))
     frontier = [start]
     while frontier and span.rank < dim:
         new = []
         for m in frontier:
             for g in gens:
-                cand = act(g, m)
-                if span.add(flat(cand)):
+                cand = linalg.mat_mul(g, m)
+                if span.add(linalg.flatten(cand)):
                     if span.rank == dim:
                         return span
                     new.append(cand)
@@ -225,12 +210,12 @@ def _svn_report(r, gens):
     """The svn_irreducibility report from exact ranks over Q(zeta_4r)."""
     n = r - 1
     ident = linalg.mat_identity(n, CycScalar.one(r))
-    cyclic = [_spin(gens, e, linalg.mat_vec, list, n).rank == n for e in ident]
+    cyclic = [_spin(gens, [[x] for x in e], n).rank == n for e in ident]
     return {
         "r": r,
         "cyclic": cyclic,
         "all_cyclic": all(cyclic),
-        "algebra_dimension": _spin(gens, ident, linalg.mat_mul, linalg.flatten, n * n).rank,
+        "algebra_dimension": _spin(gens, ident, n * n).rank,
         "commutant_dimension": _commutant_dimension(gens, r),
     }
 
@@ -256,7 +241,6 @@ def _commutant_dimension(gens, r):
 
 __all__ = [
     "CosObservable",
-    "WilsonCombination",
     "zeta_fold",
     "weyl_cos_matrix",
     "wilson_decompose",

@@ -334,15 +334,17 @@ def verlinde_numeric(genus: int, r: int) -> int:
     """sum_j (eta [j])^{2-2g}, the count of admissible colorings, exactly.
 
     With eta^{-2} = sum_k [k]^2 this is (sum_k [k]^2)^{g-1} sum_j [j]^{2-2g},
-    summed in Q(zeta_4r); the result must be a rational integer.
+    summed in Q(zeta_4r) over j <= r/2 since [j] = [r-j]; the result must
+    be a rational integer.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if r < 2:
         raise ValueError("r must be >= 2")
     total = CycScalar.zero(r)
-    for j in range(1, r):
-        total = total + qint(j, r) ** (2 - 2 * genus)
+    for j in range(1, r // 2 + 1):
+        term = qint(j, r) ** (2 - 2 * genus)
+        total = total + (term if 2 * j == r else term * 2)
     total = eta_inverse_square(r) ** (genus - 1) * total
     if total.den != 1 or any(total.num[1:]):
         raise ArithmeticError(f"Verlinde sum at genus {genus}, r = {r} is not an integer")

@@ -175,9 +175,9 @@ def eta_inverse_square(r: int) -> CycScalar:
     return acc
 
 
-def eta_numeric(r: int, precision_bits: int = DEFAULT_PREC_BITS):
-    """eta = (sum_j [j]^2)^{-1/2} = sqrt(2/r) sin(pi/r)."""
-    with mpmath.workprec(precision_bits):
+def eta_numeric(r: int):
+    """eta = (sum_j [j]^2)^{-1/2} = sqrt(2/r) sin(pi/r), at DEFAULT_PREC_BITS."""
+    with mpmath.workprec(DEFAULT_PREC_BITS):
         return mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(1) / r)
 
 
@@ -212,14 +212,14 @@ def rho_S(r: int):
 
 def rho_word_exact(word, r: int):
     """(matrix, s_count): exact part of the word product; true value is
-    eta^s_count times the matrix.  rho(S)^{-1} = rho(S), so inverse S
-    letters reuse the Gram matrix."""
+    eta^s_count times the matrix.  The Gram matrix squares to
+    eta_inverse_square(r) I, so rho(S)^2 = I: S^e is S^{e mod 2}."""
     out = linalg.mat_identity(r - 1, CycScalar.one(r))
     s_count = 0
     gram = hopf_gram(r)
     for letter, exp in word:
         if letter == "S":
-            for _ in range(abs(exp)):
+            if exp % 2:
                 out = linalg.mat_mul(out, gram)
                 s_count += 1
         elif letter == "T":

@@ -34,6 +34,7 @@ import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
 DEFAULT_PREC_BITS = 128
+_FRAC_BITS = DEFAULT_PREC_BITS + 16
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +202,6 @@ class CycScalar:
         vec[0] = q.numerator
         return cls(r, tuple(vec), q.denominator, _normalized=True)
 
-    @classmethod
-    def root_power(cls, r, e):
-        """zeta_{4r}^e as a field element (e taken modulo 4r)."""
-        m = 4 * r
-        return cls(r, _root_power_vec(m, e % m), 1, _normalized=True)
-
     # -- ring/field operations ---------------------------------------------
 
     def _check(self, other):
@@ -343,40 +338,28 @@ class CycScalar:
         """Complex conjugation, i.e. the Galois map zeta -> zeta^{-1}."""
         return CycScalar(self.r, _galois(self.num, -1, 4 * self.r), self.den)
 
-    def embed(self, precision_bits: int = DEFAULT_PREC_BITS):
+    def embed(self):
         """Numerical value at zeta = exp(i*pi/2r) as a ComplexAP.
 
-        Fixed point, with F = precision_bits + 16: A = sum_e c_e C_e and
-        B = sum_e c_e S_e are exact integer dot products against integers
-        C_e, S_e within 1/2 + 2**-60 of 2**F cos(2 pi e/4r) and
+        Fixed point, with F = DEFAULT_PREC_BITS + 16 = 144: A = sum_e c_e C_e
+        and B = sum_e c_e S_e are exact integer dot products against
+        integers C_e, S_e within 1/2 + 2**-60 of 2**F cos(2 pi e/4r) and
         2**F sin(2 pi e/4r), e < phi.  So A / (den 2**F) is within
         W * (1/2 + 2**-60) * 2**-F of the real part, W = sum_e |c_e| / den,
         and B / (den 2**F) likewise of the imaginary part.  Each is rounded
         once, to nearest at F bits, adding at most W * (1 + 2**-F) * 2**-F
         since both parts have modulus at most W.  Each part of the result
-        is therefore within W * 2**-(precision_bits + 15) of the true value.
+        is therefore within W * 2**-143 of the true value.
         """
-        frac_bits = precision_bits + 16
-        cos, sin = _embed_table(4 * self.r, frac_bits)
-        den = self.den << frac_bits
+        cos, sin = _embed_table(4 * self.r)
+        den = self.den << _FRAC_BITS
         return ComplexAP(
-            _mpf_ratio(sum(map(mul, self.num, cos)), den, frac_bits),
-            _mpf_ratio(sum(map(mul, self.num, sin)), den, frac_bits),
+            _mpf_ratio(sum(map(mul, self.num, cos)), den),
+            _mpf_ratio(sum(map(mul, self.num, sin)), den),
         )
 
     def to_json(self):
         return {"r": self.r, "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        r = obj["r"]
-        vals = [Fraction(s) for s in obj["coeffs"]]
-        if len(vals) != euler_phi(4 * r):
-            raise ValueError("coefficient vector has wrong length")
-        den = 1
-        for v in vals:
-            den = den * v.denominator // gcd(den, v.denominator)
-        return cls(r, [int(v * den) for v in vals], den)
 
     def __repr__(self):
         terms = []
@@ -409,24 +392,24 @@ def _galois(num, k, m):
 
 
 @functools.lru_cache(maxsize=None)
-def _embed_table(m, frac_bits):
+def _embed_table(m):
     """(C, S): integers within 1/2 + 2**-60 of 2**F cos(2 pi e/m), 2**F sin(2 pi e/m), e < phi(m).
 
-    F = frac_bits.  The angle and each value are rounded at F + 64 bits,
+    F = _FRAC_BITS.  The angle and each value are rounded at F + 64 bits,
     which puts the value within 2**-60 of the true one (the angle error
     2**-(F+63) is scaled by at most pi), and then to the nearest integer.
     """
     count = euler_phi(m)
-    with mpmath.workprec(frac_bits + 64):
+    with mpmath.workprec(_FRAC_BITS + 64):
         return tuple(
-            tuple(int(mpmath.nint(mpmath.ldexp(f(mpmath.mpf(2 * e) / m), frac_bits))) for e in range(count))
+            tuple(int(mpmath.nint(mpmath.ldexp(f(mpmath.mpf(2 * e) / m), _FRAC_BITS))) for e in range(count))
             for f in (mpmath.cospi, mpmath.sinpi)
         )
 
 
-def _mpf_ratio(p, q, prec):
-    """The mpf nearest to p/q at prec bits (one rounding)."""
-    return mpmath.mp.make_mpf(from_rational(p, q, prec, round_nearest))
+def _mpf_ratio(p, q):
+    """The mpf nearest to p/q at _FRAC_BITS bits (one rounding)."""
+    return mpmath.mp.make_mpf(from_rational(p, q, _FRAC_BITS, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +417,9 @@ def _mpf_ratio(p, q, prec):
 # ---------------------------------------------------------------------------
 
 def t_power(r: int, e: int) -> CycScalar:
-    """t^e where t = zeta_{4r} = exp(i*pi/2r)."""
-    return CycScalar.root_power(r, e)
+    """t^e where t = zeta_{4r} = exp(i*pi/2r), e taken modulo 4r."""
+    m = 4 * r
+    return CycScalar(r, _root_power_vec(m, e % m), 1, _normalized=True)
 
 
 def index_fold(j: int, r: int):
@@ -621,8 +605,8 @@ class LaurentPoly(Combination):
         return cls.t(0)
 
     @classmethod
-    def t(cls, e=1, coeff=1):
-        return cls({e: coeff})
+    def t(cls, e):
+        return cls({e: 1})
 
     def _basis_mul(self, e1, e2):
         return ((e1 + e2, 1),)

@@ -66,3 +66,45 @@ def test_exact_modules_do_not_import_mpmath(name):
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             imported.add(node.module)
     assert not {m for m in imported if m.split(".")[0] == "mpmath"}
+
+
+def _public_functions(module):
+    """(qualified name, function) for the module's public functions and the
+    public methods and constructors of its public classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+# Every parameter with a default is an option callers may set; adding one
+# means editing this list.
+DEFAULTED_PARAMETERS = {
+    ("thetaforge.heisenberg.HeisAlgElt.__init__", "terms"),
+    ("thetaforge.heisenberg.HeisAlgElt.basis", "coeff"),
+    ("thetaforge.quantum_group.FusionElement.__init__", "terms"),
+    ("thetaforge.rt_torus.TorusSkein.__init__", "terms"),
+    ("thetaforge.scalar.Combination.__init__", "terms"),
+    ("thetaforge.scalar.CycScalar.__init__", "_normalized"),
+    ("thetaforge.scalar.CycScalar.__init__", "den"),
+    ("thetaforge.scalar.LaurentPoly.__init__", "terms"),
+    ("thetaforge.scalar.embed_matrix", "scale"),
+    ("thetaforge.sl2z.random_word", "max_len"),
+}
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {
+        (qualname, param.name)
+        for module in MODULES
+        for qualname, fn in _public_functions(module)
+        for param in inspect.signature(fn).parameters.values()
+        if param.default is not param.empty
+    }
+    assert found == DEFAULTED_PARAMETERS

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaforge import linalg
+from thetaforge import linalg, rt_torus
 from thetaforge.heisenberg import (
     FiniteHeisElt,
     HeisAlgElt,
@@ -251,15 +251,15 @@ def test_exact_egorov_words(N, word):
 
 def test_fourier_abelian_generator_values():
     with mpmath.workprec(140):
-        got = fourier_abelian(T, 2)
+        got = fourier_abelian(sl2z_decompose(T), 2)
         assert abs(got[0][0] - 1) < 1e-20 and abs(got[1][1] + 1j) < 1e-20
-        got = fourier_abelian(S, 2)
+        got = fourier_abelian(sl2z_decompose(S), 2)
         c = 1 / mpmath.sqrt(2)
         for i in range(2):
             for j in range(2):
                 want = c if (i, j) != (1, 1) else -c
                 assert abs(got[i][j] - want) < 1e-20
-        ident = fourier_abelian(IDENTITY, 4)
+        ident = fourier_abelian(sl2z_decompose(IDENTITY), 4)
         for i in range(4):
             for j in range(4):
                 assert abs(ident[i][j] - (1 if i == j else 0)) < 1e-20
@@ -273,9 +273,9 @@ def test_fourier_abelian_unitary_and_projective():
                 w1 = random_word(rng, 3)
                 w2 = random_word(rng, 3)
                 h1, h2 = word_matrix(w1), word_matrix(w2)
-                m12 = fourier_abelian(h1 * h2, N)
-                m1 = fourier_abelian(h1, N)
-                m2 = fourier_abelian(h2, N)
+                m12 = fourier_abelian(sl2z_decompose(h1 * h2), N)
+                m1 = fourier_abelian(sl2z_decompose(h1), N)
+                m2 = fourier_abelian(sl2z_decompose(h2), N)
                 prod = [
                     [mpmath.fsum(m1[i][s] * m2[s][j] for s in range(N)) for j in range(N)]
                     for i in range(N)
@@ -331,7 +331,7 @@ def test_f_of_t_rep_unitary_scaled():
 def test_f_of_t_matches_fourier_t():
     for N in (2, 4, 6):
         rep = _mat_complex(algebra_rep(f_of_t_skein(N)))
-        ft = [[complex(x) for x in row] for row in fourier_abelian(T, N)]
+        ft = [[complex(x) for x in row] for row in fourier_abelian(sl2z_decompose(T), N)]
         ratio = rep[0][0] / ft[0][0]
         assert abs(abs(ratio) - N**0.5) < 1e-12
         for i in range(N):
@@ -376,7 +376,7 @@ def test_omega_u1():
     norm = sum(abs(c) ** 2 for c in om)
     assert abs(norm - 1) < 1e-30
     # the shift operator fixes the constant vector; S column 0 matches
-    col0 = [row[0] for row in fourier_abelian(S, 4)]
+    col0 = [row[0] for row in fourier_abelian(sl2z_decompose(S), 4)]
     ratio = col0[0] / om[0]
     assert abs(abs(ratio) - 1) < 1e-25
     assert all(abs(col0[j] - ratio * om[j]) < 1e-25 for j in range(4))
@@ -488,21 +488,35 @@ def _fourier_generator_product(word, N, prec):
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 16])
 def test_fourier_abelian_matches_generator_product(N):
-    # fourier_abelian fixes its phase on a computed argument, so the two may
-    # differ by an N-th root of unity; every entry must agree after it.
+    # the oracle multiplies out every power of S, so exponents up to 9 check
+    # the fold of S^e to S^{e mod 2} and the parity permutation entrywise
     rng = random.Random(100 + N)
     tol = mpmath.mpf(2) ** -100
     for _ in range(4):
         word = [
-            (letter, rng.choice((-1, 1)) * rng.randint(1, 3))
+            (letter, rng.choice((-1, 1)) * rng.randint(1, 9))
             for letter in rng.choice(("ST", "TS")) * rng.randint(1, 2)
         ]
         got = fourier_abelian(word, N)
         want = _fourier_generator_product(word, N, 160)
         with mpmath.workprec(160):
-            i, j = max(
-                ((i, j) for i in range(N) for j in range(N)), key=lambda ij: abs(want[ij[0]][ij[1]])
-            )
-            c = got[i][j] / want[i][j]
-            assert abs(c**N - 1) < tol
-            assert all(abs(got[a][b] - c * want[a][b]) < tol for a in range(N) for b in range(N))
+            assert all(abs(got[a][b] - want[a][b]) < tol for a in range(N) for b in range(N))
+
+
+def test_s_power_costs_one_product(monkeypatch):
+    # S^e folds to S^{e mod 2} times the parity permutation (heisenberg) or
+    # the identity (rt_torus): one product at most per S letter, whatever e
+    e = 10**18 + 1
+    for sign in (1, -1):
+        big = [("S", sign * e), ("S", sign * (e + 1))]
+        small = [("S", sign), ("S", 2 * sign)]
+        calls = []
+        mat_mul = linalg.mat_mul
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+            heis = fourier_word_exact(big, 8)
+            assert len(calls) == 1
+            rho = rt_torus.rho_word_exact(big, 8)
+            assert len(calls) == 2
+        assert heis == fourier_word_exact(small, 8)
+        assert rho == rt_torus.rho_word_exact(small, 8)

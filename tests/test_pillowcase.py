@@ -68,14 +68,9 @@ def test_zeta_fold_involution():
 
 
 def test_wilson_decompose():
-    one = wilson_decompose(2, 3, 1)
-    assert one.cosines == () and one.constant == 1
-
-    w2 = wilson_decompose(1, 2, 2)
-    assert w2.cosines == (CosObservable(1, 2),) and w2.constant == 0
-
-    w3 = wilson_decompose(1, 0, 3)
-    assert w3.cosines == (CosObservable(2, 0),) and w3.constant == 1
+    assert wilson_decompose(2, 3, 1) == ((), 1)
+    assert wilson_decompose(1, 2, 2) == ((CosObservable(1, 2),), 0)
+    assert wilson_decompose(1, 0, 3) == ((CosObservable(2, 0),), 1)
 
     with pytest.raises(ValueError):
         wilson_decompose(2, 4, 2)
@@ -120,8 +115,8 @@ def test_spin_stops_only_at_full_rank():
     r, n = 5, 4
     y = weyl_cos_matrix(CosObservable(0, 1), r)
     ident = linalg.mat_identity(n, CycScalar.one(r))
-    assert _spin([y], ident, linalg.mat_mul, linalg.flatten, n * n).rank == n
-    assert _spin([y], ident[0], linalg.mat_vec, list, n).rank == 1
+    assert _spin([y], ident, n * n).rank == n
+    assert _spin([y], [[x] for x in ident[0]], n).rank == 1
 
 
 def test_svn_report_equals_exact():

@@ -21,7 +21,6 @@ CASES = [
     ("cycscalar_zero_den", lambda: CycScalar(3, (1,), 0), ZeroDivisionError, "zero denominator"),
     ("cycscalar_mixed_orders", lambda: CycScalar.one(3) + CycScalar.one(4), ValueError, "mixed cyclotomic"),
     ("cyclotomic_index", lambda: cyclotomic_poly(0), ValueError, "positive"),
-    ("from_json_length", lambda: CycScalar.from_json({"r": 3, "coeffs": ["1"]}), ValueError, "wrong length"),
     ("qint_r1", lambda: qint(1, 1), ValueError, "r >= 2"),
     ("gauss_sum_r1", lambda: gauss_sum(1, 1), ValueError, "r >= 2"),
     ("index_fold_r1", lambda: index_fold(1, 1), ValueError, "r must be >= 2"),
