@@ -137,9 +137,13 @@ def algebra_rep(x: HeisAlgElt):
     zero = CycScalar.zero(r)
     mat = [[zero] * N for _ in range(N)]
     for (p, q), c in x.terms.items():
+        if type(c) is not CycScalar:  # an int or Fraction coefficient
+            c = CycScalar.from_fraction(c, r)
         for j in range(N):
             i = (j + p) % N
-            mat[i][j] = mat[i][j] + c * t_heis(N, -p * q - 2 * j * q)
+            term = c.times_root(-p * q - 2 * j * q)
+            entry = mat[i][j]
+            mat[i][j] = entry + term if entry else term
     return mat
 
 

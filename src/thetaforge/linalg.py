@@ -1,9 +1,14 @@
 """Small exact linear algebra kernel.
 
 Matrices are lists (or tuples) of rows, a vector an n x 1 column.
-``mat_mul`` multiplies CycScalar entries by packed exact dot products;
-``RowSpan`` eliminates CycScalar vectors exactly; the other routines need
-entries that support +, -, *, == and truth testing.  Nothing ever rounds.
+``mat_mul`` multiplies CycScalar entries.  When one operand is monomial
+with root-of-unity entries (at most one nonzero per row of the left
+operand, or per column of the right one, each a power of t), as the
+identity, the twists diag(t^e) and the Heisenberg shifts are, the
+product only permutes and exponent-shifts the other operand; any other
+pair goes through packed exact dot products.  ``RowSpan`` eliminates
+CycScalar vectors exactly; the other routines need entries that support
++, -, *, == and truth testing.  Nothing ever rounds.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from math import lcm
 from .scalar import CycScalar, euler_phi
 
 
-def _pack_prep(vectors, r):
+def _pack_prep(vectors):
     """Common-denominator form of each vector of CycScalar entries.
 
     Returns ([(den, [(num, scale) | None, ...]), ...], bits): entry x of a
@@ -24,14 +29,7 @@ def _pack_prep(vectors, r):
     out = []
     bits = 0
     for vec in vectors:
-        dens = []
-        for x in vec:
-            if type(x) is not CycScalar:
-                raise TypeError(f"mat_mul needs CycScalar entries, got {type(x).__name__}")
-            if x.r != r:
-                raise ValueError(f"mixed cyclotomic orders r={r} and r={x.r}")
-            dens.append(x.den)
-        den = lcm(*dens)
+        den = lcm(*(x.den for x in vec))
         entries = []
         for x in vec:
             num = x.num
@@ -63,15 +61,45 @@ def _pack(entries, w):
     return out
 
 
+def _monomial(lines):
+    """[(s, e) | None, ...] when each line has at most one nonzero entry,
+    at index s and equal to t^e (None for a zero line); otherwise None."""
+    out = []
+    for line in lines:
+        hit = None
+        for s, x in enumerate(line):
+            if x:
+                if hit is not None:
+                    return None
+                hit = s
+        if hit is None:
+            out.append(None)
+            continue
+        e = line[hit].root_exponent()
+        if e is None:
+            return None
+        out.append((hit, e))
+    return out
+
+
 def mat_mul(a, b):
     """Exact product of an n x k and a k x m matrix of CycScalar entries.
 
-    Each row of a and each column of b is brought to one common
-    denominator, and every entry's integer coefficient vector c is packed
-    into the single integer sum(c[e] * 2**(w*e)) (Kronecker
-    substitution).  One product entry is then k integer multiply-adds,
-    one signed unpack of its 2*phi - 1 slots, one reduction modulo
-    Phi_{4r} and one normalisation, where phi = euler_phi(4r).
+    Monomial rule: when each row of a has at most one nonzero entry and
+    each such entry is a root of unity t^e, row i of the product is row
+    s of b times t^e, for the nonzero a[i][s], each entry by an exponent
+    shift (CycScalar.times_root, which shares the entry when e = 0), and
+    a zero row of a gives a zero row.  Otherwise the same rule is tried on
+    the columns of b.  This covers the identity, diagonal twists and the
+    Heisenberg monomials.
+
+    Any other pair takes the packed path.  Each row of a and each column
+    of b is brought to one common denominator, and every entry's integer
+    coefficient vector c is packed into the single integer
+    sum(c[e] * 2**(w*e)) (Kronecker substitution).  One product entry is
+    then k integer multiply-adds, one signed unpack of its 2*phi - 1
+    slots, one reduction modulo Phi_{4r} and one normalisation, where
+    phi = euler_phi(4r).
 
     Packing is exact because no slot overflows: a slot of the packed dot
     product holds sum_s sum_{i+j=e} a_s[i] * b_s[j], at most k * phi
@@ -81,8 +109,9 @@ def mat_mul(a, b):
     bit_length(k * phi) + 1 keeps it below 2**(w-1), which leaves room
     for the sign.  Zero entries pack to 0 and are skipped.
 
-    Raises TypeError for an entry that is not a CycScalar, ValueError for
-    mixed cyclotomic orders or mismatched shapes.
+    Both operands are validated before either rule: TypeError for an
+    entry that is not a CycScalar, ValueError for mixed cyclotomic orders
+    or mismatched shapes.
     """
     k = len(b)
     if not a or not k:
@@ -90,13 +119,30 @@ def mat_mul(a, b):
     m = len(b[0])
     if any(len(row) != k for row in a) or any(len(row) != m for row in b):
         raise ValueError("mat_mul shape mismatch")
-    first = a[0][0]
-    if type(first) is not CycScalar:
-        raise TypeError(f"mat_mul needs CycScalar entries, got {type(first).__name__}")
-    r = first.r
+    r = None
+    for row in (*a, *b):
+        for x in row:
+            if type(x) is not CycScalar:
+                raise TypeError(f"mat_mul needs CycScalar entries, got {type(x).__name__}")
+            if x.r != r:
+                if r is not None:
+                    raise ValueError(f"mixed cyclotomic orders r={r} and r={x.r}")
+                r = x.r
+    zero = CycScalar.zero(r)
+    left = _monomial(a)
+    if left is not None:
+        return [
+            [zero] * m if hit is None else [x.times_root(hit[1]) for x in b[hit[0]]] for hit in left
+        ]
+    columns = list(zip(*b))
+    right = _monomial(columns)
+    if right is not None:
+        return [
+            [zero if hit is None else row[hit[0]].times_root(hit[1]) for hit in right] for row in a
+        ]
     phi = euler_phi(4 * r)
-    rows, bits_a = _pack_prep(a, r)
-    cols, bits_b = _pack_prep(list(zip(*b)), r)
+    rows, bits_a = _pack_prep(a)
+    cols, bits_b = _pack_prep(columns)
     w = bits_a + bits_b + (k * phi).bit_length() + 1
     slots = 2 * phi - 1
     half = 1 << (w - 1)
@@ -106,7 +152,6 @@ def mat_mul(a, b):
         bias = (bias << w) + half
     shifts = range(0, w * slots, w)
     packed_cols = [(den, _pack(entries, w)) for den, entries in cols]
-    zero = CycScalar.zero(r)
     out = []
     for row_den, row_entries in rows:
         row_packed = [(s, p) for s, p in enumerate(_pack(row_entries, w)) if p]

@@ -125,6 +125,8 @@ def rt_rep_matrix(s, r: int):
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
     for (p, q), c in s.terms.items():
+        if type(c) is not CycScalar:  # an int or Fraction coefficient
+            c = CycScalar.from_fraction(c, r)
         unit = c == 1
         for j in range(1, r):
             col = j - 1
@@ -132,9 +134,8 @@ def rt_rep_matrix(s, r: int):
                 sign, idx = index_fold(n_target, r)
                 if sign:
                     # t^{2r} = -1 carries a fold sign of -1
-                    term = t_power(r, phase - p * q if sign > 0 else phase - p * q + 2 * r)
-                    if not unit:
-                        term = c * term
+                    e = phase - p * q if sign > 0 else phase - p * q + 2 * r
+                    term = t_power(r, e) if unit else c.times_root(e)
                     entry = mat[idx - 1][col]
                     mat[idx - 1][col] = entry + term if entry else term
     return mat
@@ -304,10 +305,11 @@ def _kp_sum(a, b, c, d, r, window):
             sign, idx = index_fold(a * j + c * K // 2, r)
             if not sign:
                 continue
-            term = t_power(r, c * d * K * K // 4 + b * c * K * j + a * b * j * j)
-            if sign < 0:
-                term = -term
-            mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + term
+            # t^{2r} = -1 carries a fold sign of -1
+            e = c * d * K * K // 4 + b * c * K * j + a * b * j * j
+            term = t_power(r, e if sign > 0 else e + 2 * r)
+            entry = mat[idx - 1][j - 1]
+            mat[idx - 1][j - 1] = entry + term if entry else term
     return mat
 
 

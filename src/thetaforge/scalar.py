@@ -125,12 +125,16 @@ def _reduce_mod_cyclotomic(vec, m):
 
 
 @functools.lru_cache(maxsize=None)
-def _root_power_vec(m: int, e: int):
-    """Coefficient vector of zeta_m^e (0 <= e < m) reduced modulo Phi_m."""
+def _root_powers(m: int):
+    """(powers, exponent): powers[e] is the vector of zeta_m^e reduced modulo
+    Phi_m, e < m, and exponent maps each of these vectors back to its e."""
     deg, _ = _reduction_data(m)
-    vec = [0] * (e + 1)
-    vec[e] = 1
-    return tuple(_reduce_mod_cyclotomic(vec, m))
+    vec = [1] + [0] * (deg - 1)
+    powers = []
+    for _ in range(m):
+        powers.append(tuple(vec))
+        vec = _reduce_mod_cyclotomic([0] + vec, m)
+    return tuple(powers), {v: e for e, v in enumerate(powers)}
 
 
 def _content(vec):
@@ -261,6 +265,36 @@ class CycScalar:
         return CycScalar(self.r, prod, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def times_root(self, e: int):
+        """self * t^e by an exponent shift, with no coefficient products.
+
+        The coefficients rotate by e in Z[x]/(x^{2r} + 1), the wrapped part
+        negated since t^{2r} = -1, and are reduced modulo Phi_{4r}, which
+        divides x^{2r} + 1.  t^e is a unit of Z[t], so the content and the
+        denominator stay.  For e = 0 mod 4r it is self.
+        """
+        n = 2 * self.r
+        e %= 2 * n
+        if not e:
+            return self
+        s = e % n
+        vec = list(self.num)
+        vec += [0] * (n - len(vec))
+        moved, kept = vec[n - s:], vec[: n - s]
+        if e < n:
+            vec = [-c for c in moved] + kept
+        else:
+            vec = moved + [-c for c in kept]
+        return CycScalar(
+            self.r, tuple(_reduce_mod_cyclotomic(vec, 2 * n)), self.den, _normalized=True
+        )
+
+    def root_exponent(self):
+        """The e in [0, 4r) with self == t^e, or None if self is no power of t."""
+        if self.den != 1:
+            return None
+        return _root_powers(4 * self.r)[1].get(self.num)
 
     def inverse(self):
         """Multiplicative inverse through the field norm.
@@ -419,7 +453,7 @@ def _mpf_ratio(p, q):
 def t_power(r: int, e: int) -> CycScalar:
     """t^e where t = zeta_{4r} = exp(i*pi/2r), e taken modulo 4r."""
     m = 4 * r
-    return CycScalar(r, _root_power_vec(m, e % m), 1, _normalized=True)
+    return CycScalar(r, _root_powers(m)[0][e % m], 1, _normalized=True)
 
 
 def index_fold(j: int, r: int):

@@ -167,6 +167,9 @@ def test_algebra_rep_identity_and_sum():
     got = _mat_complex(algebra_rep(x))
     assert abs(got[0][0] - 1) < 1e-15 and abs(got[1][1] + 1) < 1e-15
     assert got[0][1] == 1 and got[1][0] == 1
+    # an int coefficient acts as the field element it names
+    two = algebra_rep(HeisAlgElt(4, {(1, 1): 2}))
+    assert linalg.mat_eq(two, linalg.mat_scale(2, algebra_rep(HeisAlgElt.basis(4, 1, 1))))
 
 
 def test_algebra_rep_spans_everything():

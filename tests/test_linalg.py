@@ -28,12 +28,52 @@ def _scalar(draw, r, bits):
 
 
 @st.composite
+def _monomial(draw, r, rows, cols):
+    """rows x cols with at most one nonzero per row, each a power of t.
+
+    Kinds: the identity and a permutation times root powers (square
+    only), rows that are zero or hold one root power in any column (so
+    columns may be zero too), and two near misses that must take the
+    packed path: one nonzero made 2 t^e, no root of unity, or one row
+    given a second root power.
+    """
+    zero = CycScalar.zero(r)
+    out = [[zero] * cols for _ in range(rows)]
+    kind = draw(st.sampled_from(("identity", "permutation", "rows", "non-root", "two-roots")))
+    if rows != cols and kind in ("identity", "permutation"):
+        kind = "rows"
+    if kind == "identity":
+        return linalg.mat_identity(rows, CycScalar.one(r))
+    if kind == "permutation":
+        cols_of = draw(st.permutations(range(cols)))
+    else:
+        cols_of = [draw(st.integers(-1, cols - 1)) for _ in range(rows)]  # -1: a zero row
+    for i, s in enumerate(cols_of):
+        if s >= 0:
+            out[i][s] = t_power(r, draw(st.integers(-12 * r, 12 * r)))
+    hits = [(i, s) for i, s in enumerate(cols_of) if s >= 0]
+    if kind == "non-root" and hits:
+        i, s = draw(st.sampled_from(hits))
+        out[i][s] = out[i][s] * 2
+    if kind == "two-roots" and hits and cols > 1:
+        i, s = draw(st.sampled_from(hits))
+        other = (s + draw(st.integers(1, cols - 1))) % cols
+        out[i][other] = t_power(r, draw(st.integers(0, 4 * r)))
+    return out
+
+
+@st.composite
 def _operands(draw):
     r = draw(st.integers(2, 12))
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
     bits = draw(st.sampled_from((1, 8, 64, 200)))
     a = [[draw(_scalar(r, bits)) for _ in range(k)] for _ in range(n)]
     b = [[draw(_scalar(r, bits)) for _ in range(m)] for _ in range(k)]
+    monomial = draw(st.sampled_from(("neither", "left", "right", "both")))
+    if monomial in ("left", "both"):
+        a = draw(_monomial(r, n, k))
+    if monomial in ("right", "both"):  # at most one nonzero per column
+        b = [list(col) for col in zip(*draw(_monomial(r, m, k)))]
     if draw(st.booleans()):
         a[draw(st.integers(0, n - 1))] = [CycScalar.zero(r)] * k
     if draw(st.booleans()):
@@ -43,7 +83,7 @@ def _operands(draw):
     return a, b
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(_operands())
 def test_mat_mul_matches_schoolbook(operands):
     a, b = operands
@@ -72,6 +112,18 @@ def test_mat_mul_rejects_mixed_orders():
         linalg.mat_mul([[t_power(5, 1), t_power(7, 2)]], b)
     with pytest.raises(ValueError, match="mixed cyclotomic orders"):
         linalg.mat_mul(a, [[t_power(6, 1)], [t_power(6, 2)]])
+
+
+def test_mat_mul_validates_monomial_operands():
+    diag5, diag6 = (
+        [[t_power(r, 1), CycScalar.zero(r)], [CycScalar.zero(r), t_power(r, 2)]] for r in (5, 6)
+    )
+    with pytest.raises(ValueError, match="mixed cyclotomic orders r=5 and r=6"):
+        linalg.mat_mul(diag5, diag6)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        linalg.mat_mul(linalg.mat_identity(2, CycScalar.one(5)), diag6)
+    with pytest.raises(TypeError, match="got int"):
+        linalg.mat_mul(diag5, [[t_power(5, 2), 0], [t_power(5, 3), t_power(5, 4)]])
 
 
 def test_mat_mul_rejects_non_cyclotomic_entries():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -125,6 +126,13 @@ def test_rt_rep_examples():
             CycScalar.from_int(2, r), linalg.mat_identity(r - 1, CycScalar.one(r))
         )
         assert linalg.mat_eq(rt_rep_matrix((0, 0), r), two_id)
+    # int and Fraction coefficients act as the field elements they name
+    half = rt_rep_matrix(TorusSkein(5, {(1, 2): Fraction(1, 2), (0, 1): 3}), 5)
+    want = linalg.mat_add(
+        linalg.mat_scale(Fraction(1, 2), rt_rep_matrix((1, 2), 5)),
+        linalg.mat_scale(3, rt_rep_matrix((0, 1), 5)),
+    )
+    assert linalg.mat_eq(half, want)
 
 
 def test_rep_eigenvalues_of_meridian():

@@ -313,3 +313,40 @@ def test_fraction_operands_coerce(x, q):
         inv = x.inverse()
         assert 1 / x == inv
         assert q / x == y / x == q * inv
+
+
+# exponents below zero, at zero and at or past 4r
+_ROOT_EXPONENTS = st.one_of(st.integers(-200, -1), st.just(0), st.integers(1, 200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_times_root_matches_product(data):
+    r = data.draw(st.integers(2, 16))
+    e = data.draw(st.one_of(_ROOT_EXPONENTS, st.integers(4 * r, 12 * r)))
+    phi = euler_phi(4 * r)
+    num = data.draw(st.lists(st.integers(-(2**70), 2**70), min_size=phi, max_size=phi))
+    den = data.draw(st.one_of(st.just(1), st.integers(2, 2**40)))
+    x = CycScalar(r, num, den)
+    got = x.times_root(e)
+    want = x * t_power(r, e)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 16), _ROOT_EXPONENTS)
+def test_root_exponent_inverts_t_power(r, e):
+    assert t_power(r, e).root_exponent() == e % (4 * r)
+    assert t_power(r, e + 4 * r).root_exponent() == e % (4 * r)
+
+
+@pytest.mark.parametrize("r", range(2, 17))
+def test_root_exponent_rejects_non_roots(r):
+    assert CycScalar.from_int(2, r).root_exponent() is None
+    assert (t_power(r, 1) / 2).root_exponent() is None
+    assert CycScalar.zero(r).root_exponent() is None
+    # [2] = 2 cos(pi/r) has modulus 1 only at r = 3, where it is 1 = t^0
+    if r == 3:
+        assert qint(2, r).root_exponent() == 0
+    elif r > 3:
+        assert qint(2, r).root_exponent() is None
