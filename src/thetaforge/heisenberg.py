@@ -270,9 +270,9 @@ def matrix_to_heisenberg(mat, N: int) -> HeisAlgElt:
             acc = CycScalar.zero(r)
             for j in range(N):
                 if diag[j]:
-                    acc = acc + diag[j] * t_heis(N, 2 * j * q)
+                    acc = acc + diag[j].times_root(2 * j * q)
             if acc:
-                terms[(p, q)] = acc * t_heis(N, p * q) / N
+                terms[(p, q)] = acc.times_root(p * q) / N
     return HeisAlgElt(N, terms)
 
 

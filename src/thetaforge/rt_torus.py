@@ -362,19 +362,70 @@ def _exact_proportionality(m1, m2, r):
 
 # -- reconstruction and presentation ------------------------------------------
 
-def _solve_level(mat, p, r):
-    """{q: c_q}, c_q nonzero, over the curves (p, q) of K(r) that give mat's shift-p entries."""
+@functools.lru_cache(maxsize=None)
+def _gap_inverses(r: int):
+    """(None, 1/(w - 1), ..., 1/(w^{r-1} - 1)) with w = t^4, a primitive r-th root.
+
+    Entry k inverts the Newton node gap factor w^k - 1; entry 0 is None,
+    as w^0 - 1 = 0.
+    """
+    return (None, *((t_power(r, 4 * k) - 1).inverse() for k in range(1, r)))
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_span(r: int):
+    """RowSpan of the level-0 rows (t^{2qj} + t^{-2qj})_j, q = 0..r-2.
+
+    The span is shared by every call at this r, so callers only solve()
+    against it; add() would change it for all of them.
+    """
     span = linalg.RowSpan()
+    for q in range(r - 1):
+        span.add([t_power(r, 2 * q * j) + t_power(r, -2 * q * j) for j in range(1, r)])
+    return span
+
+
+def _newton_solve(values, p, r):
+    """{k: c_k}, c_k nonzero, with sum_k c_k z_a^k = values[a-1] at z_a = t^{2p+4a}, a = 1..h.
+
+    Newton divided differences, then Horner's P <- P (x - z_a) + d_a into
+    the monomial basis (Bjorck and Pereyra, Math. Comp. 24, 1970).  The
+    gap z_b - z_a is t^{2p+4a} (w^{b-a} - 1), so a divided difference is
+    one product by _gap_inverses(r)[b-a] and an exponent shift, and
+    multiplying by a node z_a is an exponent shift.
+    """
+    h = len(values)
+    gaps = _gap_inverses(r)
+    d = list(values)
+    for k in range(1, h):
+        for b in range(h - 1, k - 1, -1):
+            diff = d[b] - d[b - 1]
+            d[b] = (diff * gaps[k]).times_root(-2 * p - 4 * (b - k + 1)) if diff else diff
+    coeffs = [d[-1]]
+    for a in range(h - 1, 0, -1):
+        shifted = [c.times_root(2 * p + 4 * a) for c in coeffs]
+        coeffs = [
+            d[a - 1] - shifted[0],
+            *(c - s for c, s in zip(coeffs, shifted[1:])),
+            coeffs[-1],
+        ]
+    return {k: c for k, c in enumerate(coeffs) if c}
+
+
+def _solve_level(mat, p, r):
+    """{q: c_q}, c_q nonzero, over the curves (p, q) of K(r) that give mat's shift-p entries.
+
+    Level 0 solves against _chebyshev_span(r); a level p >= 1 interpolates
+    its even and odd parts at the nodes t^{2p+4a}, a = 1..r-1-p, by
+    _newton_solve.
+    """
     if not p:
-        for q in range(r - 1):
-            span.add([t_power(r, 2 * q * j) + t_power(r, -2 * q * j) for j in range(1, r)])
-        return span.solve([mat[j][j] for j in range(r - 1)])
-    nodes = range(1, r - p)
-    for k in range(r - 1 - p):
-        span.add([t_power(r, (2 * p + 4 * a) * k) for a in nodes])
-    pairs = [(mat[a - 1][a + p - 1], mat[r - a - 1][r - p - a - 1]) for a in nodes]
-    even = span.solve([(u + d) / 2 for u, d in pairs])
-    odd = span.solve([(u - d) / 2 * t_power(r, -p - 2 * a) for a, (u, d) in zip(nodes, pairs)])
+        return _chebyshev_span(r).solve([mat[j][j] for j in range(r - 1)])
+    pairs = [(mat[a - 1][a + p - 1], mat[r - a - 1][r - p - a - 1]) for a in range(1, r - p)]
+    even = _newton_solve([(u + d) / 2 for u, d in pairs], p, r)
+    odd = _newton_solve(
+        [((u - d) / 2).times_root(-p - 2 * a) for a, (u, d) in enumerate(pairs, 1)], p, r
+    )
     return {2 * k: c for k, c in even.items()} | {2 * k + 1: c for k, c in odd.items()}
 
 
@@ -388,10 +439,14 @@ def skein_from_matrix(mat, r: int) -> TorusSkein:
     and C(x) = sum_q c_q x^q, level p >= 1 reads C(y_a) at entry (a, a+p) and
     C(-y_a) at (r-a, r-p-a), a = 1..h (1-based): the even and odd parts of C
     solve one h x h Vandermonde system at z_a = t^{2p+4a}, distinct since t^4
-    is a primitive r-th root and a < r.  Level 0 is the Chebyshev system
-    sum_q c_q (t^{2qj} + t^{-2qj}) = mat[j][j] at the distinct nodes
-    2cos(pi j/r).  Every level is nonsingular, so K(r) is a basis; the exact
-    zero residual after level 0 certifies the result.  mat is not modified.
+    is a primitive r-th root and a < r.  Newton interpolation solves each
+    part in O(h^2) scalar operations: h(h-1)/2 products by the cached
+    per-r inverses 1/(t^{4k} - 1), the rest exponent shifts and sums.
+    Level 0 is the Chebyshev system sum_q c_q (t^{2qj} + t^{-2qj}) =
+    mat[j][j] at the distinct nodes 2cos(pi j/r), solved against a RowSpan
+    built once per r.  Every level is nonsingular, so K(r) is a basis; the
+    exact zero residual after level 0 certifies the result.  mat is not
+    modified.
     """
     n = r - 1
     if len(mat) != n or any(len(row) != n for row in mat):

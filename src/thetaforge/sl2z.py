@@ -103,8 +103,3 @@ def sl2z_decompose(h: SL2Z):
         if b:
             word.append(("T", -b))
     return word
-
-
-def random_word(rng, max_len=6):
-    n = rng.randint(1, max_len)
-    return [(rng.choice("ST"), rng.choice((-1, 1))) for _ in range(n)]

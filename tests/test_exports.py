@@ -95,7 +95,6 @@ DEFAULTED_PARAMETERS = {
     ("thetaforge.scalar.CycScalar.__init__", "den"),
     ("thetaforge.scalar.LaurentPoly.__init__", "terms"),
     ("thetaforge.scalar.embed_matrix", "scale"),
-    ("thetaforge.sl2z.random_word", "max_len"),
 }
 
 

@@ -31,7 +31,8 @@ from thetaforge.heisenberg import (
     twist_skein_solve,
 )
 from thetaforge.scalar import CycScalar
-from thetaforge.sl2z import IDENTITY, S, SL2Z, T, random_word, sl2z_decompose, word_matrix
+from thetaforge.sl2z import IDENTITY, S, SL2Z, T, sl2z_decompose, word_matrix
+from words import random_word
 
 
 def test_heis_mul_cocycle():

@@ -11,6 +11,8 @@ from thetaforge.rt_torus import (
     GENERIC,
     TorusSkein,
     _exact_proportionality,
+    _gap_inverses,
+    _newton_solve,
     curve_transform,
     eta_inverse_square,
     eta_numeric,
@@ -32,7 +34,8 @@ from thetaforge.rt_torus import (
     wilson_matrix,
 )
 from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi, index_fold, qint, t_power
-from thetaforge.sl2z import S, SL2Z, T, random_word, sl2z_decompose, word_matrix
+from thetaforge.sl2z import S, SL2Z, T, sl2z_decompose, word_matrix
+from words import random_word
 
 
 def test_pts_mul_product_to_sum():
@@ -482,6 +485,56 @@ def test_level_solve_matches_rowspan_oracle(r):
         for idx, c in oracle.solve(linalg.flatten(m)).items():
             expected = expected + TorusSkein.curve(*basis[idx], r).scaled(c)
         assert skein_from_matrix(m, r) == expected
+
+
+@pytest.mark.parametrize("r", range(11, 17))
+def test_newton_level_solve_matches_rowspan(r):
+    # each level p >= 1 against a RowSpan solve of its Vandermonde rows
+    rng = random.Random(r)
+    phi = euler_phi(4 * r)
+    for p in range(1, r - 1):
+        nodes = range(1, r - p)
+        span = linalg.RowSpan()
+        for k in range(len(nodes)):
+            span.add([t_power(r, (2 * p + 4 * a) * k) for a in nodes])
+        for _ in range(2):
+            values = [
+                CycScalar(r, [rng.randint(-4, 4) for _ in range(phi)], rng.randint(1, 12))
+                if rng.random() < 0.75 else CycScalar.zero(r)
+                for _ in nodes
+            ]
+            assert _newton_solve(values, p, r) == span.solve(values)
+        assert _newton_solve([CycScalar.zero(r)] * len(nodes), p, r) == {}
+
+
+@pytest.mark.parametrize("r", range(2, 25))
+def test_gap_inverses(r):
+    gaps = _gap_inverses(r)
+    assert len(gaps) == r and gaps[0] is None
+    for k in range(1, r):
+        assert (t_power(r, 4 * k) - 1) * gaps[k] == 1
+
+
+def test_skein_from_matrix_reuses_per_order_constants(monkeypatch):
+    # the gap inverses and the level-0 span are built once per r
+    r = 9
+    m, _ = rho_word_exact([("T", 1), ("S", 1), ("T", -2), ("S", 1)], r)
+    first = skein_from_matrix(m, r)
+    calls = []
+    real_inverse, real_add = CycScalar.inverse, linalg.RowSpan.add
+
+    def inverse(self):
+        calls.append("inverse")
+        return real_inverse(self)
+
+    def add(self, vec):
+        calls.append("add")
+        return real_add(self, vec)
+
+    monkeypatch.setattr(CycScalar, "inverse", inverse)
+    monkeypatch.setattr(linalg.RowSpan, "add", add)
+    assert skein_from_matrix(m, r) == first
+    assert not calls
 
 
 def test_skein_from_matrix_round_trip_r16():
