@@ -276,16 +276,6 @@ def matrix_to_heisenberg(mat, N: int) -> HeisAlgElt:
     return HeisAlgElt(N, terms)
 
 
-# -- theta vectors and the abelian surgery element ---------------------------
-
-def omega_u1(N: int):
-    """The constant tuple N^{-1/2} (1, ..., 1) over the N theta functions; column 0 of rho(S)."""
-    if N % 2 or N < 2:
-        raise ValueError("N must be even and >= 2")
-    with mpmath.workprec(DEFAULT_PREC_BITS):
-        return tuple([1 / mpmath.sqrt(N)] * N)
-
-
 # -- Maslov index and the Z-extension ----------------------------------------
 
 class LagrangianLine(NamedTuple):
@@ -369,7 +359,6 @@ __all__ = [
     "f_of_t_skein",
     "twist_skein_solve",
     "matrix_to_heisenberg",
-    "omega_u1",
     "maslov",
     "extended_compose",
 ]

@@ -268,7 +268,3 @@ class RowSpan:
                 d = coeffs.get(l)
                 coeffs[l] = -(c * f) if d is None else d - c * f
         return out
-
-
-def flatten(mat):
-    return [x for row in mat for x in row]

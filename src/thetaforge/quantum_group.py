@@ -18,8 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .rt_torus import eta_inverse_square
-from .scalar import Combination, CycScalar, chebyshev_s, index_fold, qint, qint_factorial, t_power
+from .scalar import (
+    Combination,
+    CycScalar,
+    chebyshev_s,
+    eta_inverse_square,
+    index_fold,
+    qint,
+    qint_factorial,
+    t_power,
+)
 
 
 # -- irreducible representations ----------------------------------------------
@@ -279,11 +287,6 @@ def caterpillar_graph(genus: int):
     return TrivalentGraph(tuple(vertices), tuple(edges))
 
 
-def vertex_admissible(m: int, n: int, p: int, r: int) -> bool:
-    """V^p appears in V^m V^n: the truncated Clebsch-Gordan rule."""
-    return p in clebsch_gordan_range(m, n, r)
-
-
 def admissible_colorings(graph: TrivalentGraph, r: int):
     """(count, colorings): exhaustive backtracking over edge colors."""
     if r < 2:
@@ -361,7 +364,6 @@ __all__ = [
     "clebsch_gordan_range",
     "fusion_from_chebyshev",
     "fusion_matrix",
-    "vertex_admissible",
     "admissible_colorings",
     "verlinde_numeric",
     "circle_graph",

@@ -36,6 +36,7 @@ from .scalar import (
     LaurentPoly,
     chebyshev_s,
     embed_matrix,
+    eta_inverse_square,
     gauss_sum,
     index_fold,
     qint,
@@ -167,15 +168,6 @@ def hopf_gram(r: int):
     return [[qint(j * k, r) for k in range(1, r)] for j in range(1, r)]
 
 
-@functools.lru_cache(maxsize=None)
-def eta_inverse_square(r: int) -> CycScalar:
-    """sum_j [j]^2, the exact inverse square of the S-matrix normalization."""
-    acc = CycScalar.zero(r)
-    for j in range(1, r):
-        acc = acc + qint(j, r) * qint(j, r)
-    return acc
-
-
 def eta_numeric(r: int):
     """eta = (sum_j [j]^2)^{-1/2} = sqrt(2/r) sin(pi/r), at DEFAULT_PREC_BITS."""
     with mpmath.workprec(DEFAULT_PREC_BITS):
@@ -204,11 +196,6 @@ def _twist_diag(r: int, e: int):
 def rho_T(r: int):
     """diag(t^{j^2 - 1}), the positive-twist transform (exact)."""
     return _twist_diag(r, 1)
-
-
-def rho_S(r: int):
-    """rho(S) = eta [jk] as a numeric matrix."""
-    return embed_matrix(hopf_gram(r), eta_numeric(r))
 
 
 def rho_word_exact(word, r: int):
@@ -337,7 +324,7 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
             # mat = (ratio / eta^s) rho(h); the modulus is recovered
             # independently from the Frobenius norm, so the reported
             # phase really is unit only if the two routes agree.
-            emb = embed_matrix(mat)
+            emb = embed_matrix(mat, 1)
             with mpmath.workprec(DEFAULT_PREC_BITS):
                 frob = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for row in emb for x in row))
                 constant = eta_numeric(r) ** s_count / ratio.embed().to_mpc()
@@ -563,12 +550,10 @@ __all__ = [
     "rt_rep_matrix",
     "wilson_matrix",
     "hopf_gram",
-    "eta_inverse_square",
     "eta_numeric",
     "omega_su2",
     "quantum_dimension_vector",
     "rho_T",
-    "rho_S",
     "rho_word",
     "rho_word_exact",
     "curve_transform",

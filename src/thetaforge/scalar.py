@@ -6,7 +6,10 @@ power basis 1, zeta, ..., zeta^{phi(4r)-1} (reduced modulo the 4r-th
 cyclotomic polynomial) over a single positive denominator, so equality
 testing, inversion and linear algebra are exact.  A quotient by the
 cyclotomic polynomial, rather than by x^{4r}-1, is essential: the former
-is a field, the latter has zero divisors.
+is a field, the latter has zero divisors.  The constructor reduces and
+normalizes; the constructors and operations whose result is already in
+that form (zero, integers, negation, shifts by roots of unity, t_power)
+store it directly.
 
 Inverses and complex conjugates come from the Galois maps
 zeta -> zeta^k.  The complex embedding is fixed point: one exact integer
@@ -14,13 +17,14 @@ dot product of the coefficients against a cached table of 2**F cos and
 2**F sin of the root angles, then one rounding per part, with the error
 bound stated on CycScalar.embed.
 
-Also provided: quantized integers [n]; Combination, the sparse sum of
-basis elements that Laurent polynomials, torus skeins, Heisenberg
-group-algebra elements and the fusion ring share; chebyshev_s, the
-Chebyshev recurrence S_{n+1} = x S_n - S_{n-1} in any of these rings;
-Laurent polynomials over Q for generic-parameter computations; and
-ComplexAP, the parts of an embedded value (arithmetic goes through
-to_mpc).
+Also provided: quantized integers [n]; the Gauss sums and
+eta_inverse_square = sum_j [j]^2, the inverse square of the S-matrix
+normalization; Combination, the sparse sum of basis elements that
+Laurent polynomials, torus skeins, Heisenberg group-algebra elements and
+the fusion ring share; chebyshev_s, the Chebyshev recurrence
+S_{n+1} = x S_n - S_{n-1} in any of these rings; Laurent polynomials
+over Q for generic-parameter computations; and ComplexAP, the parts of
+an embedded value (arithmetic goes through to_mpc).
 """
 from __future__ import annotations
 
@@ -157,14 +161,10 @@ class CycScalar:
 
     __slots__ = ("r", "num", "den")
 
-    def __init__(self, r: int, num, den: int = 1, _normalized: bool = False):
+    def __init__(self, r: int, num, den: int = 1):
         if r < 1:
             raise ValueError("order parameter r must be >= 1")
         self.r = r
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
         deg = euler_phi(4 * r)
         vec = list(num)
         if len(vec) > deg:
@@ -187,7 +187,7 @@ class CycScalar:
 
     @classmethod
     def zero(cls, r):
-        return cls(r, (0,) * euler_phi(4 * r), 1, _normalized=True)
+        return _from_normalized(r, (0,) * euler_phi(4 * r), 1)
 
     @classmethod
     def one(cls, r):
@@ -197,14 +197,14 @@ class CycScalar:
     def from_int(cls, n, r):
         vec = [0] * euler_phi(4 * r)
         vec[0] = n
-        return cls(r, tuple(vec), 1, _normalized=True)
+        return _from_normalized(r, tuple(vec), 1)
 
     @classmethod
     def from_fraction(cls, q, r):
         q = Fraction(q)
         vec = [0] * euler_phi(4 * r)
         vec[0] = q.numerator
-        return cls(r, tuple(vec), q.denominator, _normalized=True)
+        return _from_normalized(r, tuple(vec), q.denominator)
 
     # -- ring/field operations ---------------------------------------------
 
@@ -228,7 +228,7 @@ class CycScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.r, tuple(-c for c in self.num), self.den, _normalized=True)
+        return _from_normalized(self.r, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, CycScalar):
@@ -286,9 +286,7 @@ class CycScalar:
             vec = [-c for c in moved] + kept
         else:
             vec = moved + [-c for c in kept]
-        return CycScalar(
-            self.r, tuple(_reduce_mod_cyclotomic(vec, 2 * n)), self.den, _normalized=True
-        )
+        return _from_normalized(self.r, tuple(_reduce_mod_cyclotomic(vec, 2 * n)), self.den)
 
     def root_exponent(self):
         """The e in [0, 4r) with self == t^e, or None if self is no power of t."""
@@ -410,6 +408,16 @@ class CycScalar:
         return f"CycScalar(r={self.r}: {body})"
 
 
+def _from_normalized(r, num, den):
+    """A CycScalar from a reduced tuple num of length phi(4r) over a positive
+    den coprime to its content, stored as given with no checks."""
+    out = object.__new__(CycScalar)
+    out.r = r
+    out.num = num
+    out.den = den
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _galois_units(m):
     """The units k != 1 of Z/m: the Galois group of Q(zeta_m) less the identity."""
@@ -453,7 +461,7 @@ def _mpf_ratio(p, q):
 def t_power(r: int, e: int) -> CycScalar:
     """t^e where t = zeta_{4r} = exp(i*pi/2r), e taken modulo 4r."""
     m = 4 * r
-    return CycScalar(r, _root_powers(m)[0][e % m], 1, _normalized=True)
+    return _from_normalized(r, _root_powers(m)[0][e % m], 1)
 
 
 def index_fold(j: int, r: int):
@@ -519,6 +527,15 @@ def gauss_sum(j: int, r: int) -> CycScalar:
     acc = CycScalar.zero(r)
     for k in range(1, r):
         acc = acc + qint(j * k, r) * qint(k, r) * t_power(r, -k * k)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def eta_inverse_square(r: int) -> CycScalar:
+    """sum_j [j]^2, the exact inverse square of the S-matrix normalization."""
+    acc = CycScalar.zero(r)
+    for j in range(1, r):
+        acc = acc + qint(j, r) * qint(j, r)
     return acc
 
 
@@ -664,12 +681,12 @@ class ComplexAP:
         return mpmath.mpc(self.re, self.im)
 
 
-def embed_matrix(mat, scale=1):
+def embed_matrix(mat, scale):
     """scale times the embedding of each entry of a CycScalar matrix.
 
     Rows of mpc at DEFAULT_PREC_BITS; scale is one real (or complex)
     factor, such as the normalisation of a transform whose exact part is
-    mat.
+    mat, or 1.
     """
     with mpmath.workprec(DEFAULT_PREC_BITS):
         return [[scale * x.embed().to_mpc() for x in row] for row in mat]

@@ -25,7 +25,6 @@ from thetaforge.heisenberg import (
     nctorus_convert,
     nctorus_convert_inverse,
     observable_action_matrix,
-    omega_u1,
     schrodinger_matrix,
     t_heis,
     twist_skein_solve,
@@ -176,7 +175,7 @@ def test_algebra_rep_identity_and_sum():
 def test_algebra_rep_spans_everything():
     for N in (2, 4, 6):
         mats = [
-            linalg.flatten(algebra_rep(HeisAlgElt.basis(N, p, q)))
+            [x for row in algebra_rep(HeisAlgElt.basis(N, p, q)) for x in row]
             for p in range(N)
             for q in range(N)
         ]
@@ -374,16 +373,12 @@ def test_matrix_to_heisenberg_of_fourier_t():
 
 
 def test_omega_u1():
-    om = omega_u1(4)
-    assert len(om) == 4
-    assert abs(om[0] - 0.5) < 1e-30
-    norm = sum(abs(c) ** 2 for c in om)
-    assert abs(norm - 1) < 1e-30
-    # the shift operator fixes the constant vector; S column 0 matches
-    col0 = [row[0] for row in fourier_abelian(sl2z_decompose(S), 4)]
-    ratio = col0[0] / om[0]
-    assert abs(abs(ratio) - 1) < 1e-25
-    assert all(abs(col0[j] - ratio * om[j]) < 1e-25 for j in range(4))
+    # the abelian surgery element N^{-1/2} (1, ..., 1) is column 0 of rho(S)
+    with mpmath.workprec(120):
+        for N in (2, 4, 6, 8):
+            col0 = [row[0] for row in fourier_abelian(sl2z_decompose(S), N)]
+            assert all(abs(c - col0[0]) < 1e-30 for c in col0)
+            assert abs(abs(col0[0]) - 1 / mpmath.sqrt(N)) < 1e-30
 
 
 def test_maslov_examples():

@@ -5,8 +5,8 @@ import pytest
 from thetaforge import linalg, pillowcase
 from thetaforge.pillowcase import (
     CosObservable,
-    _spin,
-    _svn_report,
+    _generators,
+    _spans_matrix_units,
     equivalence_check,
     svn_irreducibility,
     weyl_cos_matrix,
@@ -109,19 +109,75 @@ def test_svn_irreducibility():
         assert report["commutant_dimension"] == 1
 
 
-def test_spin_stops_only_at_full_rank():
-    # Y = Op(2cos 2pi y) is diagonal with distinct entries, so the algebra it
-    # generates is the r-1 diagonal matrices and e_1 spans only itself.
-    r, n = 5, 4
-    y = weyl_cos_matrix(CosObservable(0, 1), r)
+def test_certificate_holds_for_every_r():
+    # Y = diag(2cos(pi j/r)) has distinct entries and X is the path
+    # 1 - 2 - ... - (r-1) both ways, so the certificate needs no fallback
+    for r in range(2, 97):
+        assert _spans_matrix_units(*_generators(r)), r
+
+
+def _spin(gens, start, dim):
+    """RowSpan of the flattened w(start) over the words w in gens; start is a matrix or a column.
+
+    Breadth first, expanding only the elements that enlarged the span; it
+    returns once the rank reaches dim, as a full span cannot grow.
+    """
+    span = linalg.RowSpan()
+    span.add(_flatten(start))
+    frontier = [start]
+    while frontier and span.rank < dim:
+        new = []
+        for m in frontier:
+            for g in gens:
+                cand = linalg.mat_mul(g, m)
+                if span.add(_flatten(cand)):
+                    if span.rank == dim:
+                        return span
+                    new.append(cand)
+        frontier = new
+    return span
+
+
+def _flatten(mat):
+    return [x for row in mat for x in row]
+
+
+def _commutant_dimension(gens, r):
+    """Nullity of the commutation equations [G, X] = 0 over Q(zeta_4r)."""
+    n = r - 1
+    zero = CycScalar.zero(r)
+    rows = linalg.RowSpan()
+    for g in gens:
+        for i in range(n):
+            for j in range(n):
+                # entry (i,j) of GX - XG as a linear form in X
+                row = [zero] * (n * n)
+                for s in range(n):
+                    if g[i][s]:
+                        row[s * n + j] = row[s * n + j] + g[i][s]
+                    if g[s][j]:
+                        row[i * n + s] = row[i * n + s] - g[s][j]
+                rows.add(row)
+    return n * n - rows.rank
+
+
+def _exact_report(r, gens):
+    """The svn_irreducibility report from exact ranks over Q(zeta_4r): the test oracle."""
+    n = r - 1
     ident = linalg.mat_identity(n, CycScalar.one(r))
-    assert _spin([y], ident, n * n).rank == n
-    assert _spin([y], [[x] for x in ident[0]], n).rank == 1
+    cyclic = [_spin(gens, [[x] for x in e], n).rank == n for e in ident]
+    return {
+        "r": r,
+        "cyclic": cyclic,
+        "all_cyclic": all(cyclic),
+        "algebra_dimension": _spin(gens, ident, n * n).rank,
+        "commutant_dimension": _commutant_dimension(gens, r),
+    }
 
 
 def test_svn_report_equals_exact():
     for r in range(2, 9):
-        assert svn_irreducibility(r) == _svn_report(r, pillowcase._generators(r))
+        assert svn_irreducibility(r) == _exact_report(r, _generators(r))
 
 
 def _cos_pair(a, b):
@@ -155,10 +211,13 @@ def _fixing_ones(r):
     ],
     ids=["repeated_diagonal", "one_parity", "one_way_path", "y_not_diagonal"],
 )
-def test_svn_falls_back_to_exact_without_certificate(monkeypatch, generators):
-    # each pair fails one hypothesis of the certificate and generates less than all matrices
-    exact = {r: _svn_report(r, generators(r)) for r in (4, 5, 6)}
+def test_svn_raises_without_certificate(monkeypatch, generators):
+    # each pair fails one hypothesis of the certificate and, by the exact
+    # oracle, generates less than all matrices: a certificate lenient
+    # enough to pass one of them would report a false irreducibility
     monkeypatch.setattr(pillowcase, "_generators", generators)
-    for r, report in exact.items():
-        assert svn_irreducibility(r) == report
-        assert report["algebra_dimension"] < (r - 1) ** 2
+    for r in (4, 5, 6):
+        assert not _spans_matrix_units(*generators(r))
+        with pytest.raises(ArithmeticError, match="matrix-unit certificate"):
+            svn_irreducibility(r)
+        assert _exact_report(r, generators(r))["algebra_dimension"] < (r - 1) ** 2

@@ -10,6 +10,7 @@ from thetaforge.quantum_group import (
     admissible_colorings,
     caterpillar_graph,
     circle_graph,
+    clebsch_gordan_range,
     d_iso,
     dual_rep,
     dumbbell_graph,
@@ -18,7 +19,6 @@ from thetaforge.quantum_group import (
     irrep,
     theta_graph,
     verlinde_numeric,
-    vertex_admissible,
 )
 from thetaforge.scalar import CycScalar, qint, t_power
 
@@ -186,7 +186,7 @@ def test_vertex_condition_symmetric():
     for r in (3, 5):
         for m, n, p in itertools.product(range(1, r), repeat=3):
             vals = {
-                vertex_admissible(*perm, r)
+                perm[2] in clebsch_gordan_range(perm[0], perm[1], r)
                 for perm in itertools.permutations((m, n, p))
             }
             assert len(vals) == 1, (r, m, n, p)

@@ -14,7 +14,6 @@ from thetaforge.rt_torus import (
     _gap_inverses,
     _newton_solve,
     curve_transform,
-    eta_inverse_square,
     eta_numeric,
     f_of_twist_solve,
     hopf_gram,
@@ -23,7 +22,6 @@ from thetaforge.rt_torus import (
     presentation_check_generic,
     project_solid_torus,
     quantum_dimension_vector,
-    rho_S,
     rho_T,
     rho_kac_peterson,
     rho_word,
@@ -33,7 +31,7 @@ from thetaforge.rt_torus import (
     twist_skein_matrix,
     wilson_matrix,
 )
-from thetaforge.scalar import CycScalar, LaurentPoly, euler_phi, index_fold, qint, t_power
+from thetaforge.scalar import CycScalar, LaurentPoly, eta_inverse_square, euler_phi, index_fold, qint, t_power
 from thetaforge.sl2z import S, SL2Z, T, sl2z_decompose, word_matrix
 from words import random_word
 
@@ -213,7 +211,7 @@ def test_omega_su2():
         assert abs(om[0] - c) < 1e-25 and abs(om[1] - c) < 1e-25
         for r in (3, 5, 8):
             om = omega_su2(r)
-            col = [row[0] for row in rho_S(r)]
+            col = [row[0] for row in rho_word([("S", 1)], r)]
             assert all(abs(a - b) < 1e-25 for a, b in zip(om, col))
 
 
@@ -241,7 +239,7 @@ def test_rho_t():
 
 def test_rho_s_squares_to_identity():
     with mpmath.workprec(120):
-        got = rho_S(3)
+        got = rho_word([("S", 1)], 3)
         c = 1 / mpmath.sqrt(2)
         want = [[c, c], [c, -c]]
         for i in range(2):
@@ -463,6 +461,10 @@ def test_skein_from_matrix():
         assert linalg.mat_eq(rt_rep_matrix(sk, r), m)
 
 
+def _flatten(mat):
+    return [x for row in mat for x in row]
+
+
 @pytest.mark.parametrize("r", range(2, 11))
 def test_level_solve_matches_rowspan_oracle(r):
     # oracle: one RowSpan over the flattened operators of K(r), fed in order
@@ -470,7 +472,7 @@ def test_level_solve_matches_rowspan_oracle(r):
     basis += [(p, q) for p in range(1, r - 1) for q in range(2 * (r - 1 - p))]
     oracle = linalg.RowSpan()
     for curve in basis:
-        oracle.add(linalg.flatten(rt_rep_matrix(curve, r)))
+        oracle.add(_flatten(rt_rep_matrix(curve, r)))
     assert oracle.rank == (r - 1) ** 2 == len(basis)
     rng = random.Random(r)
     phi = euler_phi(4 * r)
@@ -482,7 +484,7 @@ def test_level_solve_matches_rowspan_oracle(r):
     ]
     for m in mats:
         expected = TorusSkein.zero(r)
-        for idx, c in oracle.solve(linalg.flatten(m)).items():
+        for idx, c in oracle.solve(_flatten(m)).items():
             expected = expected + TorusSkein.curve(*basis[idx], r).scaled(c)
         assert skein_from_matrix(m, r) == expected
 
@@ -581,5 +583,5 @@ def test_irreducibility_span_and_commutant():
         span = linalg.RowSpan()
         for p in range(2 * r):
             for q in range(2 * r):
-                span.add(linalg.flatten(rt_rep_matrix((p, q), r)))
+                span.add(_flatten(rt_rep_matrix((p, q), r)))
         assert span.rank == n * n

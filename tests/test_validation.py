@@ -42,7 +42,6 @@ CASES = [
     ("finite_mul_mixed", _finite_mixed, ValueError, "mixed moduli"),
     ("matrix_to_heisenberg_size", lambda: hz.matrix_to_heisenberg([[CycScalar.one(1)]], 2), ValueError, "size"),
     ("f_of_t_skein_odd_n", lambda: hz.f_of_t_skein(3), ValueError, "even"),
-    ("omega_u1_odd_n", lambda: hz.omega_u1(3), ValueError, "even"),
     ("lagrangian_zero", lambda: hz.LagrangianLine.of(0, 0), ValueError, "nonzero direction"),
     ("fourier_letter", lambda: hz.fourier_word_exact([("X", 1)], 4), ValueError, "unknown generator"),
     # quantum_group
