@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import mpmath
-
-from .scalar import Combination, CycScalar, DEFAULT_PREC_BITS, embed_matrix, t_power
+from .scalar import Combination, CycScalar, embed_matrix, t_power
 from . import linalg
 from .sl2z import S, T, SL2Z, _word_product
 
@@ -61,8 +59,7 @@ def heis_reduce(x: HeisElt, N: int) -> FiniteHeisElt:
     Reducing p or q by N needs a compensating k shift; plain
     componentwise reduction would break the homomorphism property.
     """
-    if N % 2 or N < 2:
-        raise ValueError("N must be even and >= 2")
+    _field_order(N)
     p, q, k = x
     dp, p = divmod(p, N)
     k -= N * q * dp
@@ -78,7 +75,9 @@ def finite_mul(x: FiniteHeisElt, y: FiniteHeisElt) -> FiniteHeisElt:
 
 
 def _field_order(N: int) -> int:
-    # t = exp(i*pi/N) = zeta_{2N}; CycScalar(r) holds Q(zeta_{4r})
+    """The order r with CycScalar(r) = Q(zeta_{2N}), t = exp(i*pi/N): N // 2 for even N >= 2."""
+    if N % 2 or N < 2:
+        raise ValueError("N must be even and >= 2")
     return N // 2
 
 
@@ -109,8 +108,7 @@ class HeisAlgElt(Combination):
     _MIXED = "mixed moduli"
 
     def __init__(self, N: int, terms=()):
-        if N % 2 or N < 2:
-            raise ValueError("N must be even and >= 2")
+        _field_order(N)
         super().__init__(N, terms)
 
     @classmethod
@@ -206,12 +204,10 @@ def fourier_abelian(word, N: int):
     It conjugates the theta-basis action of b(p,q) to that of
     observable_action_matrix(word) applied to (p,q).  It is N^{-s/2} times
     the embedding of fourier_word_exact, s the number of S letters of odd
-    exponent.
+    exponent; embed_matrix forms N^{-s/2} from the exact N^s.
     """
     s_count = sum(1 for letter, exp in word if letter == "S" and exp % 2)
-    with mpmath.workprec(DEFAULT_PREC_BITS):
-        scale = mpmath.sqrt(N) ** -s_count
-        return embed_matrix(fourier_word_exact(word, N), scale)
+    return embed_matrix(fourier_word_exact(word, N), N ** s_count)
 
 
 def f_of_t_skein(N: int) -> HeisAlgElt:
@@ -220,8 +216,6 @@ def f_of_t_skein(N: int) -> HeisAlgElt:
     Its theta-basis representation is a Gauss-sum multiple of diag(t^{-j^2}),
     i.e. of fourier_abelian([("T", 1)], N).
     """
-    if N % 2 or N < 2:
-        raise ValueError("N must be even and >= 2")
     return HeisAlgElt(N, {(0, j): t_heis(N, j * j) for j in range(N)})
 
 

@@ -15,9 +15,10 @@ module with basis V^1(a), ..., V^{r-1}(a):
 
 indices folded by V^r = 0, V^{r+j} = -V^{r-j}, V^{j+2r} = V^j.  The
 S and T transforms are rho(S) = eta [jk] (the Hopf-pairing Gram matrix,
-eta = (sum [j]^2)^{-1/2}) and rho(T) = diag(t^{j^2-1}); only the single
-real factor eta is numeric, everything else stays in the cyclotomic
-field.
+eta = (sum [j]^2)^{-1/2}) and rho(T) = diag(t^{j^2-1}).  Everything is
+computed in the cyclotomic field, with eta^{-2} = eta_inverse_square(r)
+exact; the numeric transforms embed the exact products, and
+scalar.embed_matrix forms the real factor eta^s from eta^{-2s}.
 """
 from __future__ import annotations
 
@@ -26,13 +27,10 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-import mpmath
-
 from . import linalg
 from .scalar import (
     Combination,
     CycScalar,
-    DEFAULT_PREC_BITS,
     LaurentPoly,
     chebyshev_s,
     embed_matrix,
@@ -168,15 +166,9 @@ def hopf_gram(r: int):
     return [[qint(j * k, r) for k in range(1, r)] for j in range(1, r)]
 
 
-def eta_numeric(r: int):
-    """eta = (sum_j [j]^2)^{-1/2} = sqrt(2/r) sin(pi/r), at DEFAULT_PREC_BITS."""
-    with mpmath.workprec(DEFAULT_PREC_BITS):
-        return mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(1) / r)
-
-
 def omega_su2(r: int):
     """The surgery-curve color eta * sum_j [j] V^j, numeric, as a tuple over V^1..V^{r-1}."""
-    (coeffs,) = embed_matrix([quantum_dimension_vector(r)], eta_numeric(r))
+    (coeffs,) = embed_matrix([quantum_dimension_vector(r)], eta_inverse_square(r))
     return tuple(coeffs)
 
 
@@ -191,11 +183,6 @@ def _twist_diag(r: int, e: int):
         [t_power(r, e * (j * j - 1)) if i == j - 1 else zero for j in range(1, r)]
         for i in range(r - 1)
     ]
-
-
-def rho_T(r: int):
-    """diag(t^{j^2 - 1}), the positive-twist transform (exact)."""
-    return _twist_diag(r, 1)
 
 
 def rho_word_exact(word, r: int):
@@ -218,11 +205,10 @@ def rho_word_exact(word, r: int):
 
 
 def rho_word(word, r: int):
-    """Numeric ordered product of generator transforms."""
+    """Numeric ordered product of generator transforms: the embedding of
+    rho_word_exact times eta^s_count = eta_inverse_square(r)^(-s_count/2)."""
     exact, s_count = rho_word_exact(word, r)
-    with mpmath.workprec(DEFAULT_PREC_BITS):
-        scale = eta_numeric(r) ** s_count
-    return embed_matrix(exact, scale)
+    return embed_matrix(exact, eta_inverse_square(r) ** s_count)
 
 
 def curve_transform(h: SL2Z, p: int, q: int):
@@ -262,27 +248,21 @@ def twist_skein_matrix(r: int):
 
 class KacPeterson(NamedTuple):
     matrix: list  # exact CycScalar matrix, a constant multiple of rho(h)
-    scalar: object  # numeric unit-modulus phase of that constant
+    scalar: object  # numeric unit-modulus phase of that constant, an mpc
     window: str  # "integer" or "half-integer" summation lattice
 
 
-def _kp_sum(a, b, c, d, r, window):
+def _kp_sum(a, b, c, d, r, start):
     """sum over k of t^{cdk^2 + 2bckj + abj^2} zeta_{aj+ck}, folded.
 
     One loop over K = 2k in [start, 4r) in steps of 2: start 0 for the
     integer window (k over the residues mod 2r), start 1 for the
-    half-integer window k in Z + 1/2.  When the summand is ill-defined on
-    the classes of ck (possible for even c) the integer-window terms
-    cancel and the transform lives on the half-integer window instead,
-    which needs c even (None otherwise).  The exponent is
-    floor(cdK^2/4) + bcKj + abj^2: on the half-integer window the floor
-    drops a uniform t^{1/2}, absorbed by the overall constant.  For c = 0
-    every k gives the same term, so one K stands for the sum (1/2r of it,
-    the same ray).
+    half-integer window k in Z + 1/2, which the caller takes only for
+    even c.  The exponent is floor(cdK^2/4) + bcKj + abj^2: on the
+    half-integer window the floor drops a uniform t^{1/2}, absorbed by the
+    overall constant.  For c = 0 every k gives the same term, so one K
+    stands for the sum (1/2r of it, the same ray).
     """
-    start = 0 if window == "integer" else 1
-    if start and c % 2:
-        return None
     stop = 4 * r if c else start + 1
     n = r - 1
     zero = CycScalar.zero(r)
@@ -306,33 +286,32 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
     The sum is evaluated after swapping the diagonal entries of h: the
     closed form composes mapping classes in the opposite order from the
     generator products, and h -> [[d,b],[c,a]] is the word-reversal
-    antiautomorphism reconciling the two.  The result is validated by
-    exact proportionality against the generator-word product; the
-    summation lattice that passed and the numeric unit constant are
-    reported alongside the exact matrix.
+    antiautomorphism reconciling the two.  The sum runs over the integer
+    window.  Only if that sum vanishes (for even c, when the summand is
+    ill-defined on the classes of ck) does it run over the half-integer
+    window.  The result must be exactly proportional to the word product
+    ref = eta^{-s} rho(h), mat = ratio * ref, and must have the Frobenius
+    norm that unitarity of rho(h) implies, as the exact identity
+    sum_ij mat_ij conj(mat_ij) = (r-1) ratio conj(ratio) eta_inverse_square(r)^s.
+    Either failure raises ArithmeticError.  The reported phase is
+    conj(ratio)/|ratio|: rho(h) = (eta^s / ratio) mat and eta > 0.
     """
     h.check()
     a, b, c, d = h.d, h.b, h.c, h.a  # word-reversal antiautomorphism
-    word = sl2z_decompose(h)
-    ref, s_count = rho_word_exact(word, r)
-    for window in ("integer", "half-integer"):
-        mat = _kp_sum(a, b, c, d, r, window)
-        if mat is None or linalg.mat_is_zero(mat):
-            continue
-        ratio = _exact_proportionality(mat, ref, r)
-        if ratio is not None:
-            # mat = (ratio / eta^s) rho(h); the modulus is recovered
-            # independently from the Frobenius norm, so the reported
-            # phase really is unit only if the two routes agree.
-            emb = embed_matrix(mat, 1)
-            with mpmath.workprec(DEFAULT_PREC_BITS):
-                frob = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for row in emb for x in row))
-                constant = eta_numeric(r) ** s_count / ratio.embed().to_mpc()
-                unit = constant * frob / mpmath.sqrt(r - 1)
-            return KacPeterson(mat, unit, window)
-    raise ArithmeticError(
-        f"closed form for {tuple(h)} is not proportional to the word product"
-    )
+    ref, s_count = rho_word_exact(sl2z_decompose(h), r)
+    mat, window = _kp_sum(a, b, c, d, r, 0), "integer"
+    if linalg.mat_is_zero(mat) and not c % 2:
+        mat, window = _kp_sum(a, b, c, d, r, 1), "half-integer"
+    ratio = _exact_proportionality(mat, ref, r)
+    if not ratio:
+        raise ArithmeticError(
+            f"closed form for {tuple(h)} is not proportional to the word product"
+        )
+    norm = ratio * ratio.conjugate()
+    frob = sum(x * x.conjugate() for row in mat for x in row if x)
+    if frob != norm * eta_inverse_square(r) ** s_count * (r - 1):
+        raise ArithmeticError(f"word product for {tuple(h)} is not unitary up to scale")
+    return KacPeterson(mat, embed_matrix([[ratio.conjugate()]], norm)[0][0], window)
 
 
 def _exact_proportionality(m1, m2, r):
@@ -526,20 +505,19 @@ def presentation_relations(mode):
     return rels
 
 
-def presentation_check(r: int):
-    """Verify the presentation relations on the curve-operator matrices."""
-    report = {}
-    for name, diff in presentation_relations(r):
-        report[name] = linalg.mat_is_zero(rt_rep_matrix(diff, r))
-    return report
+def presentation_check(mode):
+    """{name: holds} for the seven relations as skein identities in mode.
+
+    mode is an order r >= 2 (t = zeta_{4r}) or GENERIC.  A relation holds
+    when its skein lhs - rhs has no terms, which is stronger than a zero
+    operator on the solid-torus module.
+    """
+    return {name: not diff.terms for name, diff in presentation_relations(mode)}
 
 
 def presentation_check_generic():
     """The same relations as skein identities at generic t."""
-    report = {}
-    for name, diff in presentation_relations(GENERIC):
-        report[name] = not diff.terms
-    return report
+    return presentation_check(GENERIC)
 
 
 __all__ = [
@@ -550,10 +528,8 @@ __all__ = [
     "rt_rep_matrix",
     "wilson_matrix",
     "hopf_gram",
-    "eta_numeric",
     "omega_su2",
     "quantum_dimension_vector",
-    "rho_T",
     "rho_word",
     "rho_word_exact",
     "curve_transform",

@@ -681,12 +681,17 @@ class ComplexAP:
         return mpmath.mpc(self.re, self.im)
 
 
-def embed_matrix(mat, scale):
-    """scale times the embedding of each entry of a CycScalar matrix.
+def embed_matrix(mat, inv_square):
+    """inv_square^{-1/2} times the embedding of each entry of a CycScalar matrix.
 
-    Rows of mpc at DEFAULT_PREC_BITS; scale is one real (or complex)
-    factor, such as the normalisation of a transform whose exact part is
-    mat, or 1.
+    Rows of mpc at DEFAULT_PREC_BITS.  inv_square is an exact positive
+    real, an int or a CycScalar: the inverse square of the normalisation
+    of a transform whose exact part is mat, such as
+    eta_inverse_square(r) ** s or N ** s.  This is the one place where a
+    numeric normalisation is formed.
     """
     with mpmath.workprec(DEFAULT_PREC_BITS):
+        if type(inv_square) is CycScalar:
+            inv_square = inv_square.embed().re
+        scale = 1 / mpmath.sqrt(inv_square)
         return [[scale * x.embed().to_mpc() for x in row] for row in mat]

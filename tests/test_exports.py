@@ -62,11 +62,15 @@ def test_quantum_group_leaves_rt_torus_unloaded():
     assert _fresh_interpreter_exit_code(code) == 0
 
 
-@pytest.mark.parametrize("name", ["linalg", "pillowcase", "quantum_group", "sl2z"])
-def test_exact_modules_do_not_import_mpmath(name):
-    # these modules compute in exact arithmetic only; floats enter through
-    # scalar's embedding and the numeric helpers of rt_torus and heisenberg
-    module = importlib.import_module(f"thetaforge.{name}")
+@pytest.mark.parametrize(
+    "module",
+    [m for m in MODULES if m.__name__ != "thetaforge.scalar"],
+    ids=lambda m: m.__name__.rpartition(".")[2],
+)
+def test_exact_modules_do_not_import_mpmath(module):
+    # every module but scalar computes in exact arithmetic only; floats
+    # enter through scalar's embedding, and embed_matrix forms every
+    # numeric normalisation
     with open(module.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
     imported = set()

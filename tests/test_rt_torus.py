@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,17 +13,17 @@ from thetaforge.rt_torus import (
     TorusSkein,
     _exact_proportionality,
     _gap_inverses,
+    _kp_sum,
     _newton_solve,
     curve_transform,
-    eta_numeric,
     f_of_twist_solve,
     hopf_gram,
     omega_su2,
     presentation_check,
     presentation_check_generic,
+    presentation_relations,
     project_solid_torus,
     quantum_dimension_vector,
-    rho_T,
     rho_kac_peterson,
     rho_word,
     rho_word_exact,
@@ -31,7 +32,16 @@ from thetaforge.rt_torus import (
     twist_skein_matrix,
     wilson_matrix,
 )
-from thetaforge.scalar import CycScalar, LaurentPoly, eta_inverse_square, euler_phi, index_fold, qint, t_power
+from thetaforge.scalar import (
+    CycScalar,
+    LaurentPoly,
+    embed_matrix,
+    eta_inverse_square,
+    euler_phi,
+    index_fold,
+    qint,
+    t_power,
+)
 from thetaforge.sl2z import S, SL2Z, T, sl2z_decompose, word_matrix
 from words import random_word
 
@@ -225,12 +235,12 @@ def test_omega_annihilation_rows():
 
 
 def test_rho_t():
-    got = rho_T(3)
+    got = rho_word_exact([("T", 1)], 3)[0]
     assert got[0][0] == CycScalar.one(3)
     assert got[1][1] == t_power(3, 3)
     assert abs(complex(got[1][1].embed().to_mpc()) - 1j) < 1e-14
     for r in range(2, 13):
-        mat = rho_T(r)
+        mat = rho_word_exact([("T", 1)], r)[0]
         assert mat[0][0] == CycScalar.one(r)
         for j in range(1, r):
             entry = mat[j - 1][j - 1] * mat[j - 1][j - 1].conjugate()
@@ -281,9 +291,20 @@ def test_rho_st_cubed_is_scalar():
             for i in range(n)
             for j in range(n)
         )
+        # |eta^s lam| = 1, exactly and against eta = sqrt(2/r) sin(pi/r)
+        assert lam * lam.conjugate() == eta_inverse_square(r) ** s_count
         with mpmath.workprec(100):
-            unit = abs(lam.embed().to_mpc()) * eta_numeric(r) ** s_count
+            eta = mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(1) / r)
+            unit = abs(lam.embed().to_mpc()) * eta ** s_count
             assert abs(unit - 1) < 1e-25
+
+
+def test_embedded_eta_matches_closed_form():
+    for r in range(2, 25):
+        (got,), = embed_matrix([[CycScalar.one(r)]], eta_inverse_square(r))
+        with mpmath.workprec(200):
+            eta = mpmath.sqrt(mpmath.mpf(2) / r) * mpmath.sinpi(mpmath.mpf(1) / r)
+            assert abs(got - eta) < 1e-35, r
 
 
 def test_rho_unitary_numeric():
@@ -330,9 +351,8 @@ def test_exact_egorov_rt(r, word):
 def test_kac_peterson_generators():
     for r in range(3, 9):
         kp = rho_kac_peterson(T, r)
-        # proportional to rho_T exactly
-        ratio = None
-        rt = rho_T(r)
+        # proportional to rho(T) exactly
+        rt = rho_word_exact([("T", 1)], r)[0]
         for i in range(r - 1):
             assert all(
                 bool(kp.matrix[i][j]) == bool(rt[i][j]) for j in range(r - 1)
@@ -392,6 +412,62 @@ def test_kac_peterson_c_zero_and_even_c():
                 roots = {t_power(r, e) for e in range(4 * r)}
                 assert all(x in roots for row in kp.matrix for x in row if x), (tuple(h), r)
     assert windows == {"integer", "half-integer"}
+
+
+_BOX = [
+    SL2Z(a, b, c, d)
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4)
+    if a * d - b * c == 1
+]
+
+
+def test_window_rule_holds_on_the_box():
+    # the premise of the window rule: the integer sum is zero or exactly
+    # proportional to the word product, it is never zero for odd c, and
+    # when it is zero the half-integer sum is proportional
+    for r in range(2, 9):
+        for h in _BOX:
+            a, b, c, d = h.d, h.b, h.c, h.a
+            ref, _ = rho_word_exact(sl2z_decompose(h), r)
+            mat = _kp_sum(a, b, c, d, r, 0)
+            if linalg.mat_is_zero(mat):
+                assert not c % 2, (tuple(h), r)
+                mat = _kp_sum(a, b, c, d, r, 1)
+            assert _exactly_proportional(mat, ref), (tuple(h), r)
+
+
+def test_kac_peterson_raises_on_wrong_norm(monkeypatch):
+    # a normalisation twice too large breaks the exact Frobenius identity
+    real = rt_torus.eta_inverse_square
+    monkeypatch.setattr(rt_torus, "eta_inverse_square", lambda r: real(r) * 2)
+    for h, r in ((S, 5), (SL2Z(5, 2, 7, 3), 6), (SL2Z(1, 0, 2, 1), 5)):
+        with pytest.raises(ArithmeticError, match="unitary"):
+            rho_kac_peterson(h, r)
+
+
+def test_kac_peterson_phase_matches_word_product():
+    # |kp.scalar| = 1 holds by construction; its phase is pinned by
+    # rho(h) = kp.scalar * c * kp.matrix for one real c > 0
+    rng = random.Random(9)
+    hs = [S, T, SL2Z(1, 0, 2, 1), SL2Z(1, 1, -2, -1)]
+    hs += [word_matrix(random_word(rng, 6)) for _ in range(8)]
+    for r in (2, 3, 5, 6, 8):
+        for h in hs:
+            kp = rho_kac_peterson(h, r)
+            rho = rho_word(sl2z_decompose(h), r)
+            with mpmath.workprec(128):
+                phased = [[kp.scalar * x for x in row] for row in embed_matrix(kp.matrix, 1)]
+                i, j = max(
+                    ((i, j) for i in range(r - 1) for j in range(r - 1)),
+                    key=lambda ij: abs(phased[ij[0]][ij[1]]),
+                )
+                c = rho[i][j] / phased[i][j]
+                assert abs(c.imag) < 1e-25 and c.real > 0, (tuple(h), r)
+                assert all(
+                    abs(x - c.real * y) < 1e-25
+                    for row1, row2 in zip(rho, phased)
+                    for x, y in zip(row1, row2)
+                ), (tuple(h), r)
 
 
 def test_f_of_twist_solve():
@@ -456,7 +532,7 @@ def test_skein_from_matrix():
         sk = skein_from_matrix(rt_rep_matrix((1, 1), r), r)
         assert sk == TorusSkein.curve(1, 1, r)
         # decompose/recompose a product
-        m = linalg.mat_mul(rho_T(r), rt_rep_matrix((2, 1), r))
+        m = linalg.mat_mul(rho_word_exact([("T", 1)], r)[0], rt_rep_matrix((2, 1), r))
         sk = skein_from_matrix(m, r)
         assert linalg.mat_eq(rt_rep_matrix(sk, r), m)
 
@@ -570,6 +646,22 @@ def test_presentation_check():
     for r in range(2, 8):
         report = presentation_check(r)
         assert all(report.values()), {k: v for k, v in report.items() if not v}
+
+
+def test_presentation_check_reads_a_leftover_term(monkeypatch):
+    # (0,2r)_T - (0,0)_T acts as zero on the solid-torus module but is not
+    # the zero skein, so a projection through rt_rep_matrix would pass it
+    r = 5
+    rels = presentation_relations(r)
+    leftover = TorusSkein.curve(0, 2 * r, r) - TorusSkein.curve(0, 0, r)
+    assert leftover.terms and linalg.mat_is_zero(rt_rep_matrix(leftover, r))
+    (name, diff), rest = rels[0], rels[1:]
+    monkeypatch.setattr(
+        rt_torus, "presentation_relations", lambda mode: [(name, diff + leftover), *rest]
+    )
+    report = presentation_check(r)
+    assert report[name] is False
+    assert all(report[n] for n, _ in rest)
 
 
 def test_presentation_generic():

@@ -44,6 +44,9 @@ CASES = [
     ("f_of_t_skein_odd_n", lambda: hz.f_of_t_skein(3), ValueError, "even"),
     ("lagrangian_zero", lambda: hz.LagrangianLine.of(0, 0), ValueError, "nonzero direction"),
     ("fourier_letter", lambda: hz.fourier_word_exact([("X", 1)], 4), ValueError, "unknown generator"),
+    ("fourier_odd_n", lambda: hz.fourier_word_exact([("S", 1)], 3), ValueError, "even"),
+    ("fourier_abelian_odd_n", lambda: hz.fourier_abelian([("S", 1)], 5), ValueError, "even"),
+    ("t_heis_odd_n", lambda: hz.t_heis(3, 1), ValueError, "even"),
     # quantum_group
     ("d_iso_index", lambda: qg.d_iso(0, 5), ValueError, "k must lie"),
     ("fusion_level", lambda: qg.FusionElement(1), ValueError, "r must be >= 2"),
