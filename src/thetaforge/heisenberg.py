@@ -135,8 +135,7 @@ def algebra_rep(x: HeisAlgElt):
     zero = CycScalar.zero(r)
     mat = [[zero] * N for _ in range(N)]
     for (p, q), c in x.terms.items():
-        if type(c) is not CycScalar:  # an int or Fraction coefficient
-            c = CycScalar.from_fraction(c, r)
+        c = CycScalar.coerce(c, r)
         for j in range(N):
             i = (j + p) % N
             term = c.times_root(-p * q - 2 * j * q)

@@ -205,6 +205,17 @@ def fusion_matrix(a: int, r: int):
 
 # -- trivalent graphs and colorings --------------------------------------------
 
+def _incidence(graph):
+    """{vertex: [edge index, ...]}, a loop listed twice; empty for the circle."""
+    incident = {v: [] for v in graph.vertices}
+    for idx, edge in enumerate(graph.edges if graph.vertices else ()):
+        for v in edge:
+            if v not in incident:
+                raise ValueError("edge endpoint is not a vertex")
+            incident[v].append(idx)
+    return incident
+
+
 @dataclass(frozen=True)
 class TrivalentGraph:
     """A connected trivalent graph; loops allowed, multi-edges allowed.
@@ -221,26 +232,17 @@ class TrivalentGraph:
             if self.edges != ((None, None),):
                 raise ValueError("a vertexless graph must be the single circle")
             return
-        degree = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            if u not in degree or v not in degree:
-                raise ValueError("edge endpoint is not a vertex")
-            degree[u] += 1
-            degree[v] += 1
-        if any(d != 3 for d in degree.values()):
+        incident = _incidence(self)
+        if any(len(slots) != 3 for slots in incident.values()):
             raise ValueError("every vertex must have degree 3 (loops count twice)")
-        # connectivity
-        adjacency = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for idx in incident[stack.pop()]:
+                for w in self.edges[idx]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         if len(seen) != len(self.vertices):
             raise ValueError("graph must be connected")
 
@@ -269,8 +271,6 @@ def caterpillar_graph(genus: int):
         raise ValueError("genus must be >= 1")
     if genus == 1:
         return circle_graph()
-    if genus == 2:
-        return dumbbell_graph()
     vertices = ["L"]
     for i in range(1, genus - 1):
         vertices += [f"a{i}", f"b{i}"]
@@ -288,46 +288,31 @@ def caterpillar_graph(genus: int):
 
 
 def admissible_colorings(graph: TrivalentGraph, r: int):
-    """(count, colorings): exhaustive backtracking over edge colors."""
+    """(count, colorings), each a tuple of edge colors in graph.edges order, by
+    exhaustive backtracking that checks a vertex once its last edge is colored."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    edges = graph.edges
-    if not graph.vertices:
-        colorings = [{0: c} for c in range(1, r)]
-        return len(colorings), colorings
-
-    incident = {v: [] for v in graph.vertices}
-    for idx, (u, v) in enumerate(edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-
-    # a vertex can be checked once all its edge slots are colored
-    last_edge_at = {v: max(slots) for v, slots in incident.items()}
-    checks_after = {i: [] for i in range(len(edges))}
-    for v, last in last_edge_at.items():
-        checks_after[last].append(v)
-
+    n_edges = len(graph.edges)
+    checks_after = [[] for _ in range(n_edges)]
+    for slots in _incidence(graph).values():
+        checks_after[slots[-1]].append(slots)
     # the fusion rule of each color pair, built once: membership in a range
     # is cheaper than a call per vertex check
     allowed = {(m, n): clebsch_gordan_range(m, n, r) for m in range(1, r) for n in range(1, r)}
+    colors = [0] * n_edges
     colorings = []
-    assignment = {}
 
     def backtrack(i):
-        if i == len(edges):
-            colorings.append(dict(assignment))
+        if i == n_edges:
+            colorings.append(tuple(colors))
             return
         for color in range(1, r):
-            assignment[i] = color
-            ok = True
-            for v in checks_after[i]:
-                m, n, p = (assignment[e] for e in incident[v])
-                if p not in allowed[m, n]:
-                    ok = False
+            colors[i] = color
+            for a, b, c in checks_after[i]:
+                if colors[c] not in allowed[colors[a], colors[b]]:
                     break
-            if ok:
+            else:
                 backtrack(i + 1)
-        del assignment[i]
 
     backtrack(0)
     return len(colorings), colorings

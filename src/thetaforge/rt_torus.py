@@ -124,8 +124,7 @@ def rt_rep_matrix(s, r: int):
     zero = CycScalar.zero(r)
     mat = [[zero] * n for _ in range(n)]
     for (p, q), c in s.terms.items():
-        if type(c) is not CycScalar:  # an int or Fraction coefficient
-            c = CycScalar.from_fraction(c, r)
+        c = CycScalar.coerce(c, r)
         unit = c == 1
         for j in range(1, r):
             col = j - 1
@@ -219,7 +218,7 @@ def curve_transform(h: SL2Z, p: int, q: int):
     generators: S rotates (p,q) -> (q,-p), T sends (1,0) -> (1,-1) and
     fixes (0,1).
     """
-    return canonical_curve(*h.inverse_transpose().apply(p, q))
+    return canonical_curve(*h.check().inverse_transpose().apply(p, q))
 
 
 def f_of_twist_solve(r: int):
@@ -434,72 +433,44 @@ def skein_from_matrix(mat, r: int) -> TorusSkein:
 def presentation_relations(mode):
     """The seven relations among X = (1,0)_T, Y = (0,1)_T, Z = (1,1)_T.
 
-    Returns a list of (name, lhs - rhs as a skein-valued callable) pairs
-    evaluated in the given mode; each must be zero.
+    Returns a list of (name, lhs - rhs) pairs, skeins in the given mode;
+    each must be zero.  Relations 1-3 are one relation under the rotation
+    X -> Y -> Z -> X, and relations 5-6 are one relation under X <-> Y.
     """
-    X = TorusSkein.curve(1, 0, mode)
-    Y = TorusSkein.curve(0, 1, mode)
-    Z = TorusSkein.curve(1, 1, mode)
+    X, Y, Z = (TorusSkein.curve(p, q, mode) for p, q in ((1, 0), (0, 1), (1, 1)))
+    gen = {"X": X, "Y": Y, "Z": Z}
     one = TorusSkein.unit(mode)
-    t2 = one._t(2)
-    tm2 = one._t(-2)
-
-    def tpow(e):
-        return one._t(e)
-
+    t = one._t
     rels = []
-    rels.append(
-        (
-            "tXY - t^{-1}YX = (t^2 - t^{-2})Z",
-            (X * Y).scaled(tpow(1)) - (Y * X).scaled(tpow(-1)) - Z.scaled(t2 - tm2),
-        )
-    )
-    rels.append(
-        (
-            "tYZ - t^{-1}ZY = (t^2 - t^{-2})X",
-            (Y * Z).scaled(tpow(1)) - (Z * Y).scaled(tpow(-1)) - X.scaled(t2 - tm2),
-        )
-    )
-    rels.append(
-        (
-            "tZX - t^{-1}XZ = (t^2 - t^{-2})Y",
-            (Z * X).scaled(tpow(1)) - (X * Z).scaled(tpow(-1)) - Y.scaled(t2 - tm2),
-        )
-    )
+    for a, b, c in ("XYZ", "YZX", "ZXY"):
+        A, B, C = gen[a], gen[b], gen[c]
+        diff = (A * B).scaled(t(1)) - (B * A).scaled(t(-1)) - C.scaled(t(2) - t(-2))
+        rels.append((f"t{a}{b} - t^{{-1}}{b}{a} = (t^2 - t^{{-2}}){c}", diff))
     rels.append(
         (
             "t^2X^2 + t^{-2}Y^2 + t^2Z^2 - tXYZ = 2t^2 + 2t^{-2}",
-            (X * X).scaled(tpow(2))
-            + (Y * Y).scaled(tpow(-2))
-            + (Z * Z).scaled(tpow(2))
-            - (X * Y * Z).scaled(tpow(1))
-            - one.scaled(tpow(2) * 2 + tpow(-2) * 2),
+            (X * X).scaled(t(2))
+            + (Y * Y).scaled(t(-2))
+            + (Z * Z).scaled(t(2))
+            - (X * Y * Z).scaled(t(1))
+            - one.scaled(t(2) * 2 + t(-2) * 2),
         )
     )
-    c1 = t2 + tm2
-    c2 = tpow(4) + tpow(-4) - tpow(0) * 2
-    rels.append(
-        (
-            "(t^2+t^{-2})YXY - (XY^2+Y^2X) = (t^4+t^{-4}-2)X",
-            (Y * X * Y).scaled(c1) - (X * Y * Y) - (Y * Y * X) - X.scaled(c2),
-        )
-    )
-    rels.append(
-        (
-            "(t^2+t^{-2})XYX - (YX^2+X^2Y) = (t^4+t^{-4}-2)Y",
-            (X * Y * X).scaled(c1) - (Y * X * X) - (X * X * Y) - Y.scaled(c2),
-        )
-    )
+    for a, b in ("XY", "YX"):
+        A, B = gen[a], gen[b]
+        diff = (B * A * B).scaled(t(2) + t(-2)) - A * B * B - B * B * A
+        diff = diff - A.scaled(t(4) + t(-4) - t(0) * 2)
+        rels.append((f"(t^2+t^{{-2}}){b}{a}{b} - ({a}{b}^2+{b}^2{a}) = (t^4+t^{{-4}}-2){a}", diff))
     rels.append(
         (
             "cubic relation in X, Y",
-            (X * X).scaled(tpow(6) + tpow(-2) - tpow(2) * 2)
-            + (Y * Y).scaled(tpow(-6) + tpow(2) - tpow(-2) * 2)
+            (X * X).scaled(t(6) + t(-2) - t(2) * 2)
+            + (Y * Y).scaled(t(-6) + t(2) - t(-2) * 2)
             + (X * Y * X * Y)
             + (Y * X * Y * X)
-            - (Y * X * X * Y).scaled(tpow(2))
-            - (X * Y * Y * X).scaled(tpow(-2))
-            - one.scaled((tpow(6) + tpow(-6) - tpow(2) - tpow(-2)) * 2),
+            - (Y * X * X * Y).scaled(t(2))
+            - (X * Y * Y * X).scaled(t(-2))
+            - one.scaled((t(6) + t(-6) - t(2) - t(-2)) * 2),
         )
     )
     return rels

@@ -206,6 +206,15 @@ class CycScalar:
         vec[0] = q.numerator
         return _from_normalized(r, tuple(vec), q.denominator)
 
+    @classmethod
+    def coerce(cls, c, r):
+        """c as an element of order r: an int or Fraction converts, another order raises."""
+        if type(c) is not CycScalar:
+            return cls.from_fraction(c, r)
+        if c.r != r:
+            raise ValueError(f"mixed cyclotomic orders r={c.r} and r={r}")
+        return c
+
     # -- ring/field operations ---------------------------------------------
 
     def _check(self, other):
@@ -259,8 +268,6 @@ class CycScalar:
             return NotImplemented
         self._check(other)
         prod = list(poly_mul(self.num, other.num))
-        if not prod:
-            return CycScalar.zero(self.r)
         _reduce_mod_cyclotomic(prod, 4 * self.r)
         return CycScalar(self.r, prod, self.den * other.den)
 
@@ -596,6 +603,10 @@ class Combination:
             return NotImplemented
         self._check(other)
         return self._like([*self.terms.items(), *other.terms.items()])
+
+    def __rmul__(self, other):
+        # every coefficient ring here is commutative
+        return self.scaled(other)
 
     def __neg__(self):
         return self.scaled(-1)

@@ -38,9 +38,6 @@ class SL2Z(NamedTuple):
     def inverse_transpose(self):
         return SL2Z(self.d, -self.c, -self.b, self.a)
 
-    def __neg__(self):
-        return SL2Z(-self.a, -self.b, -self.c, -self.d)
-
     def apply(self, p, q):
         """Column action: (p, q) -> (ap + bq, cp + dq)."""
         return self.a * p + self.b * q, self.c * p + self.d * q

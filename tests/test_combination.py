@@ -3,6 +3,8 @@ their representations: Laurent polynomials, torus skeins (generic and at
 roots of unity), Heisenberg group-algebra elements and the fusion ring.
 The label folds of wilson_matrix and fusion_from_chebyshev are checked
 against the unfolded Chebyshev recurrence."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,20 @@ def test_skein_ring_laws(xyz):
     x, y, z = xyz
     _ring_laws(x, y, z, TorusSkein.unit(x.base))
     assert TorusSkein.curve(0, 0, x.base) * x == x.scaled(2)
+
+
+def test_scalar_times_combination_scales():
+    # every coefficient ring is commutative, so c * x is x scaled by c
+    x = TorusSkein.curve(1, 0, 5)
+    for c in (2, Fraction(1, 2), CycScalar(5, [1, 2])):
+        assert c * x == x.scaled(c) == x * c
+    assert 3 * LaurentPoly.t(1) == LaurentPoly({1: 3})
+    assert 2 * FusionElement.one(4) == FusionElement(4, {1: 2})
+    h = HeisAlgElt.basis(4, 1, 0)
+    assert Fraction(1, 3) * h == h.scaled(Fraction(1, 3))
+    # an int coefficient of a generic skein meets LaurentPoly coefficients
+    X, Y = TorusSkein.curve(1, 0, GENERIC), TorusSkein.curve(0, 1, GENERIC)
+    assert TorusSkein(GENERIC, {(1, 0): 1}) * Y == X * Y
 
 
 @settings(max_examples=40, deadline=None)

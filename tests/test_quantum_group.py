@@ -178,7 +178,7 @@ def test_graph_validation():
     assert circle_graph().genus == 1
     assert theta_graph().genus == 2
     assert dumbbell_graph().genus == 2
-    for g in (3, 4):
+    for g in (2, 3, 4):
         assert caterpillar_graph(g).genus == g
 
 
@@ -201,8 +201,36 @@ def test_genus_one_counts():
 def test_theta_graph_r3():
     count, colorings = admissible_colorings(theta_graph(), 3)
     assert count == 4
-    got = {tuple(c[i] for i in range(3)) for c in colorings}
-    assert got == {(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)}
+    assert set(colorings) == {(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)}
+
+
+_GRAPHS = {
+    "circle": circle_graph(),
+    "theta": theta_graph(),
+    "dumbbell": dumbbell_graph(),
+    "caterpillar2": caterpillar_graph(2),
+    "caterpillar3": caterpillar_graph(3),
+}
+
+
+@pytest.mark.parametrize("graph", _GRAPHS.values(), ids=_GRAPHS.keys())
+def test_colorings_match_brute_force(graph):
+    # every color tuple in lexicographic order, kept when the fusion rule
+    # holds at every vertex on its three edge ends
+    ends = {
+        v: [i for i, edge in enumerate(graph.edges) for u in edge if u == v]
+        for v in graph.vertices
+    }
+    for r in range(2, 7):
+        want = [
+            colors
+            for colors in itertools.product(range(1, r), repeat=len(graph.edges))
+            if all(
+                colors[c] in clebsch_gordan_range(colors[a], colors[b], r)
+                for a, b, c in ends.values()
+            )
+        ]
+        assert admissible_colorings(graph, r) == (len(want), want), r
 
 
 def test_dumbbell_matches_theta():

@@ -369,18 +369,39 @@ def test_kac_peterson_generators():
                 assert kp.matrix[i][j] == ratio * gram[i][j]
 
 
+def _kac_peterson_phase_checked(h, r):
+    """rho_kac_peterson(h, r), after checking its phase against the word product.
+
+    |kp.scalar| = 1 holds by construction; its phase is pinned by
+    rho(h) = kp.scalar * c * kp.matrix for one real c > 0.
+    """
+    kp = rho_kac_peterson(h, r)
+    rho = rho_word(sl2z_decompose(h), r)
+    with mpmath.workprec(128):
+        phased = [[kp.scalar * x for x in row] for row in embed_matrix(kp.matrix, 1)]
+        i, j = max(
+            ((i, j) for i in range(r - 1) for j in range(r - 1)),
+            key=lambda ij: abs(phased[ij[0]][ij[1]]),
+        )
+        c = rho[i][j] / phased[i][j]
+        assert abs(c.imag) < 1e-25 and c.real > 0, (tuple(h), r)
+        assert all(
+            abs(x - c.real * y) < 1e-25
+            for row1, row2 in zip(rho, phased)
+            for x, y in zip(row1, row2)
+        ), (tuple(h), r)
+    return kp
+
+
 def test_kac_peterson_random_words():
     rng = random.Random(5)
     for r in (3, 4, 5, 6):
         for _ in range(12):
-            h = word_matrix(random_word(rng, 6))
-            kp = rho_kac_peterson(h, r)
-            assert abs(abs(kp.scalar) - 1) < 1e-10
+            _kac_peterson_phase_checked(word_matrix(random_word(rng, 6)), r)
     # the parity-shifted summation window cases
     for h in (SL2Z(1, 0, 2, 1), SL2Z(1, 1, -2, -1)):
-        kp = rho_kac_peterson(h, 5)
+        kp = _kac_peterson_phase_checked(h, 5)
         assert kp.window == "half-integer"
-        assert abs(abs(kp.scalar) - 1) < 1e-10
 
 
 def _exactly_proportional(m1, m2):
@@ -400,10 +421,9 @@ def test_kac_peterson_c_zero_and_even_c():
     windows = set()
     for r in range(2, 9):
         for h in c_zero + even_c:
-            kp = rho_kac_peterson(h, r)
+            kp = _kac_peterson_phase_checked(h, r)
             ref, _ = rho_word_exact(sl2z_decompose(h), r)
             assert _exactly_proportional(kp.matrix, ref), (tuple(h), r)
-            assert abs(abs(kp.scalar) - 1) < 1e-10
             if h.c:
                 windows.add(kp.window)
             else:
@@ -446,28 +466,12 @@ def test_kac_peterson_raises_on_wrong_norm(monkeypatch):
 
 
 def test_kac_peterson_phase_matches_word_product():
-    # |kp.scalar| = 1 holds by construction; its phase is pinned by
-    # rho(h) = kp.scalar * c * kp.matrix for one real c > 0
     rng = random.Random(9)
     hs = [S, T, SL2Z(1, 0, 2, 1), SL2Z(1, 1, -2, -1)]
     hs += [word_matrix(random_word(rng, 6)) for _ in range(8)]
     for r in (2, 3, 5, 6, 8):
         for h in hs:
-            kp = rho_kac_peterson(h, r)
-            rho = rho_word(sl2z_decompose(h), r)
-            with mpmath.workprec(128):
-                phased = [[kp.scalar * x for x in row] for row in embed_matrix(kp.matrix, 1)]
-                i, j = max(
-                    ((i, j) for i in range(r - 1) for j in range(r - 1)),
-                    key=lambda ij: abs(phased[ij[0]][ij[1]]),
-                )
-                c = rho[i][j] / phased[i][j]
-                assert abs(c.imag) < 1e-25 and c.real > 0, (tuple(h), r)
-                assert all(
-                    abs(x - c.real * y) < 1e-25
-                    for row1, row2 in zip(rho, phased)
-                    for x, y in zip(row1, row2)
-                ), (tuple(h), r)
+            _kac_peterson_phase_checked(h, r)
 
 
 def test_f_of_twist_solve():

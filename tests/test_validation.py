@@ -4,6 +4,7 @@ import pytest
 from thetaforge import heisenberg as hz
 from thetaforge import linalg, pillowcase, quantum_group as qg, rt_torus as rt
 from thetaforge.scalar import CycScalar, cyclotomic_poly, gauss_sum, index_fold, qint
+from thetaforge.sl2z import SL2Z
 
 
 def _disconnected():
@@ -30,6 +31,9 @@ CASES = [
     ("skein_mode", lambda: rt.TorusSkein(1), ValueError, "mode must be"),
     ("skein_mixed_modes", lambda: rt.TorusSkein.curve(1, 0, 3) + rt.TorusSkein.curve(1, 0, 4), ValueError, "mixed skein"),
     ("rt_rep_mode", lambda: rt.rt_rep_matrix(rt.TorusSkein.curve(1, 0, 3), 4), ValueError, "matching reduced"),
+    ("rt_rep_coefficient_order", lambda: rt.rt_rep_matrix(rt.TorusSkein(5, {(1, 0): 2 * CycScalar.one(3)}), 5), ValueError, "mixed cyclotomic"),
+    ("rt_rep_unit_coefficient_order", lambda: rt.rt_rep_matrix(rt.TorusSkein(5, {(1, 0): CycScalar.one(3)}), 5), ValueError, "mixed cyclotomic"),
+    ("curve_transform_det", lambda: rt.curve_transform(SL2Z(2, 0, 0, 1), 1, 0), ValueError, "unimodular"),
     ("project_generic", lambda: rt.project_solid_torus(rt.TorusSkein.curve(1, 0, rt.GENERIC)), ValueError, "reduced skein"),
     ("wilson_dimension", lambda: rt.wilson_matrix(1, 0, -1, 3), ValueError, "dimension"),
     ("rho_word_letter", lambda: rt.rho_word_exact([("X", 1)], 3), ValueError, "unknown generator"),
@@ -40,6 +44,7 @@ CASES = [
     ("heis_alg_odd_n", lambda: hz.HeisAlgElt(3), ValueError, "even"),
     ("heis_alg_mixed_add", lambda: hz.HeisAlgElt.basis(2, 1, 0) + hz.HeisAlgElt.basis(4, 1, 0), ValueError, "mixed moduli"),
     ("finite_mul_mixed", _finite_mixed, ValueError, "mixed moduli"),
+    ("algebra_rep_coefficient_order", lambda: hz.algebra_rep(hz.HeisAlgElt(4, {(1, 0): CycScalar.one(5)})), ValueError, "mixed cyclotomic"),
     ("matrix_to_heisenberg_size", lambda: hz.matrix_to_heisenberg([[CycScalar.one(1)]], 2), ValueError, "size"),
     ("f_of_t_skein_odd_n", lambda: hz.f_of_t_skein(3), ValueError, "even"),
     ("lagrangian_zero", lambda: hz.LagrangianLine.of(0, 0), ValueError, "nonzero direction"),
