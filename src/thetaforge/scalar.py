@@ -566,7 +566,7 @@ class Combination:
     Construction folds each key, sums the coefficients of keys that meet
     and drops zeros, so equal sums have equal terms.  The product of two
     elements of one class is the bilinear extension of _basis_mul;
-    multiplying by anything else scales every coefficient.
+    multiplying by anything else, on either side, scales every coefficient.
     """
 
     _MIXED = "mixed bases"
