@@ -24,12 +24,13 @@ The transforms take words over {S, T}, as sl2z_decompose writes them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 from .scalar import Combination, CycScalar, embed_matrix, t_power
 from . import linalg
-from .sl2z import S, T, SL2Z, _word_product
+from .sl2z import S, T, SL2Z, _word_product, check_word
 
 
 class HeisElt(NamedTuple):
@@ -116,6 +117,9 @@ class HeisAlgElt(Combination):
         c = coeff if coeff is not None else CycScalar.one(_field_order(N))
         return cls(N, {(p, q): c})
 
+    def _coefficient_order(self):
+        return self.base // 2
+
     def _fold(self, key):
         N = self.base
         if 0 <= key[0] < N and 0 <= key[1] < N:
@@ -178,7 +182,17 @@ def fourier_word_exact(word, N: int):
     F = [t^{2jk}] squares to N times the parity permutation P: j -> -j, so
     S^e is F^{e mod 2} P^{|e|//2} (F conjugated for e < 0), P reversing the
     columns; T^e multiplies once by diag(t^{-e j^2}).
+
+    The last product is kept: a second call on the same word and N, as
+    after fourier_abelian, multiplies nothing.  The matrix returned has
+    fresh rows.
     """
+    return [list(row) for row in _fourier_word_product(check_word(word), N)]
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _fourier_word_product(word, N):
+    """fourier_word_exact of a checked word, as a tuple of row tuples."""
     r = _field_order(N)
     zero = CycScalar.zero(r)
     out = linalg.mat_identity(N, CycScalar.one(r))
@@ -189,12 +203,10 @@ def fourier_word_exact(word, N: int):
                 out = linalg.mat_mul(out, [[t_heis(N, sign * 2 * j * k) for k in range(N)] for j in range(N)])
             if abs(exp) // 2 % 2:
                 out = [[row[-j % N] for j in range(N)] for row in out]
-        elif letter == "T":
+        else:
             diag = [[t_heis(N, -exp * j * j) if i == j else zero for j in range(N)] for i in range(N)]
             out = linalg.mat_mul(out, diag)
-        else:
-            raise ValueError(f"unknown generator {letter!r}")
-    return out
+    return tuple(map(tuple, out))
 
 
 def fourier_abelian(word, N: int):

@@ -40,7 +40,7 @@ from .scalar import (
     qint,
     t_power,
 )
-from .sl2z import SL2Z, sl2z_decompose
+from .sl2z import SL2Z, check_word, sl2z_decompose
 
 GENERIC = "generic"
 
@@ -67,6 +67,9 @@ class TorusSkein(Combination):
         if mode != GENERIC and (not isinstance(mode, int) or mode < 2):
             raise ValueError("mode must be GENERIC or an integer r >= 2")
         super().__init__(mode, terms)
+
+    def _coefficient_order(self):
+        return None if self.base == GENERIC else self.base
 
     def _t(self, e):
         return LaurentPoly.t(e) if self.base == GENERIC else t_power(self.base, e)
@@ -187,7 +190,19 @@ def _twist_diag(r: int, e: int):
 def rho_word_exact(word, r: int):
     """(matrix, s_count): exact part of the word product; true value is
     eta^s_count times the matrix.  The Gram matrix squares to
-    eta_inverse_square(r) I, so rho(S)^2 = I: S^e is S^{e mod 2}."""
+    eta_inverse_square(r) I, so rho(S)^2 = I: S^e is S^{e mod 2}.
+
+    The last product is kept: a second call on the same word and r, as
+    rho_kac_peterson makes for its reference after a caller's own product,
+    multiplies nothing.  The matrix returned has fresh rows.
+    """
+    mat, s_count = _rho_word_product(check_word(word), r)
+    return [list(row) for row in mat], s_count
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _rho_word_product(word, r):
+    """rho_word_exact of a checked word, its matrix as a tuple of row tuples."""
     out = linalg.mat_identity(r - 1, CycScalar.one(r))
     s_count = 0
     gram = hopf_gram(r)
@@ -196,11 +211,9 @@ def rho_word_exact(word, r: int):
             if exp % 2:
                 out = linalg.mat_mul(out, gram)
                 s_count += 1
-        elif letter == "T":
-            out = linalg.mat_mul(out, _twist_diag(r, exp))
         else:
-            raise ValueError(f"unknown generator {letter!r}")
-    return out, s_count
+            out = linalg.mat_mul(out, _twist_diag(r, exp))
+    return tuple(map(tuple, out)), s_count
 
 
 def rho_word(word, r: int):

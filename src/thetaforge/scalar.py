@@ -564,12 +564,19 @@ class Combination:
       elements.
 
     Construction folds each key, sums the coefficients of keys that meet
-    and drops zeros, so equal sums have equal terms.  The product of two
-    elements of one class is the bilinear extension of _basis_mul;
-    multiplying by anything else, on either side, scales every coefficient.
+    and drops zeros, so equal sums have equal terms.  A subclass whose
+    coefficients live in one cyclotomic field names its order by
+    _coefficient_order(); construction rejects a CycScalar coefficient of
+    another order.  The product of two elements of one class is the
+    bilinear extension of _basis_mul.  Multiplying by a scalar or by a
+    coefficient ring (a class with _RING set, such as LaurentPoly), on
+    either side, scales every coefficient; any other Combination is no
+    coefficient, so that product is left to the other operand or raises
+    TypeError.
     """
 
     _MIXED = "mixed bases"
+    _RING = False  # whether other combinations take elements of this class as coefficients
 
     def __init__(self, base, terms=()):
         self.base = base
@@ -580,7 +587,16 @@ class Combination:
                 c = c * factor
             s = sums.get(key)
             sums[key] = c if s is None else s + c
+        order = self._coefficient_order()
+        if order is not None:
+            for c in sums.values():
+                if type(c) is CycScalar and c.r != order:
+                    raise ValueError(f"mixed cyclotomic orders r={c.r} and r={order}")
         self.terms = {key: c for key, c in sums.items() if c}
+
+    def _coefficient_order(self):
+        """The order r of CycScalar coefficients, or None when not fixed."""
+        return None
 
     def _fold(self, key):
         return key, 1
@@ -606,6 +622,8 @@ class Combination:
 
     def __rmul__(self, other):
         # every coefficient ring here is commutative
+        if isinstance(other, Combination) and not other._RING:
+            return NotImplemented
         return self.scaled(other)
 
     def __neg__(self):
@@ -616,6 +634,8 @@ class Combination:
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
+            if isinstance(other, Combination) and not other._RING:
+                return NotImplemented
             return self.scaled(other)
         self._check(other)
         return self._like(
@@ -658,6 +678,8 @@ class LaurentPoly(Combination):
 
     The coefficient ring of the skein algebra at generic t.
     """
+
+    _RING = True
 
     def __init__(self, terms=()):
         super().__init__(None, terms)

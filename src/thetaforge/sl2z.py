@@ -1,6 +1,7 @@
 """SL(2,Z) elements, S/T words, and continued-fraction decomposition."""
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 
@@ -63,16 +64,31 @@ T = SL2Z(1, 1, 0, 1)
 _LETTERS = {"S": S, "T": T}
 
 
+def check_word(word):
+    """The word as a tuple of (letter, int) pairs.
+
+    ValueError for a letter other than S or T, TypeError for an exponent
+    that is not an integer (operator.index rejects 1.5 and Fraction(3, 2)).
+    """
+    out = []
+    for letter, exp in word:
+        if letter not in _LETTERS:
+            raise ValueError(f"unknown generator {letter!r}")
+        try:
+            out.append((letter, operator.index(exp)))
+        except TypeError:
+            raise TypeError(f"exponent of {letter!r} must be an integer, got {exp!r}") from None
+    return tuple(out)
+
+
 def word_matrix(word) -> SL2Z:
     return _word_product(word, _LETTERS)
 
 
 def _word_product(word, images) -> SL2Z:
-    """The product of images[letter] ** exp over the word, in order."""
+    """The product of images[letter] ** exp over the checked word, in order."""
     out = IDENTITY
-    for letter, exp in word:
-        if letter not in images:
-            raise ValueError(f"unknown generator {letter!r}")
+    for letter, exp in check_word(word):
         out = out * (images[letter] ** exp)
     return out
 

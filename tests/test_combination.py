@@ -90,6 +90,18 @@ def test_scalar_times_combination_scales():
     assert TorusSkein(GENERIC, {(1, 0): 1}) * Y == X * Y
 
 
+def test_only_a_coefficient_ring_scales_a_combination():
+    # a Laurent polynomial is a coefficient of a generic skein, from either
+    # side; a Combination of any other class is no coefficient
+    X = TorusSkein.curve(1, 0, GENERIC)
+    t = LaurentPoly.t(1)
+    assert t * X == X * t == TorusSkein(GENERIC, {(1, 0): t})
+    h, f = HeisAlgElt.basis(4, 1, 0), FusionElement.one(4)
+    for x, y in ((X, h), (h, X), (f, X), (h, f)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x * y
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 4, 6]).flatmap(_heis))
 def test_heis_ring_laws(xyz):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaforge import linalg, rt_torus
+from thetaforge import heisenberg, linalg, rt_torus
 from thetaforge.heisenberg import (
     FiniteHeisElt,
     HeisAlgElt,
@@ -519,3 +519,52 @@ def test_s_power_costs_one_product(monkeypatch):
             assert len(calls) == 2
         assert heis == fourier_word_exact(small, 8)
         assert rho == rt_torus.rho_word_exact(small, 8)
+
+
+# -- the kept word product ----------------------------------------------------
+
+def _parts(mat):
+    return [[(x.num, x.den) for x in row] for row in mat]
+
+
+def test_fourier_abelian_then_exact_multiplies_once(monkeypatch):
+    rng = random.Random(22)
+    for N in (4, 8, 16):
+        word = random_word(rng, 6)
+        letters = sum(1 for letter, exp in word if letter == "T" or exp % 2)
+        calls = []
+        mat_mul = linalg.mat_mul
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+            fourier_abelian(word, N)
+            assert len(calls) == letters, (word, N)
+            fourier_word_exact(word, N)
+            assert len(calls) == letters, (word, N)
+
+
+def test_fourier_word_exact_returns_fresh_rows():
+    word = [("S", 1), ("T", 3)]
+    first = fourier_word_exact(word, 6)
+    kept = first[0][0]
+    first[0][0] = kept + 1
+    first.pop()
+    again = fourier_word_exact(word, 6)
+    assert again[0][0] == kept and len(again) == 6
+
+
+def test_kept_fourier_product_equals_a_cold_one():
+    rng = random.Random(23)
+    kept = heisenberg._fourier_word_product
+    for N in range(2, 17, 2):
+        for _ in range(3):
+            word = random_word(rng, 6)
+            fourier_word_exact(word, N)
+            hits = kept.cache_info().hits
+            warm = fourier_word_exact(word, N)
+            assert kept.cache_info().hits == hits + 1
+            kept.cache_clear()
+            assert _parts(warm) == _parts(fourier_word_exact(word, N)), (word, N)
+    # the product kept for N = 4 does not answer N = 4.0, which fails cold
+    fourier_word_exact([("S", 1)], 4)
+    with pytest.raises(TypeError):
+        fourier_word_exact([("S", 1)], 4.0)

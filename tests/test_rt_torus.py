@@ -474,6 +474,60 @@ def test_kac_peterson_phase_matches_word_product():
             _kac_peterson_phase_checked(h, r)
 
 
+# -- the kept word product ----------------------------------------------------
+
+def _parts(mat):
+    return [[(x.num, x.den) for x in row] for row in mat]
+
+
+def test_kac_peterson_reuses_the_callers_word_product(monkeypatch):
+    # the reference of rho_kac_peterson is the sl2z_decompose normal form,
+    # so a caller that has just multiplied out that word pays for it once
+    rng = random.Random(20)
+    for r in (3, 5, 8):
+        for _ in range(3):
+            word = sl2z_decompose(word_matrix(random_word(rng, 6)))
+            letters = sum(1 for letter, exp in word if letter == "T" or exp % 2)
+            rho_word_exact(word, r)
+            calls = []
+            mat_mul = linalg.mat_mul
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+                rho_kac_peterson(word_matrix(word), r)
+                assert not calls, (word, r)
+                rt_torus._rho_word_product.cache_clear()
+                rho_kac_peterson(word_matrix(word), r)
+                assert len(calls) == letters, (word, r)
+
+
+def test_rho_word_exact_returns_fresh_rows():
+    word = [("T", 2), ("S", 1), ("T", -1)]
+    first, _ = rho_word_exact(word, 5)
+    kept = first[0][0]
+    first[0][0] = kept + 1
+    first.append([])
+    again, _ = rho_word_exact(word, 5)
+    assert again[0][0] == kept and len(again) == 4
+
+
+def test_kept_word_product_equals_a_cold_one():
+    rng = random.Random(21)
+    for r in range(2, 13):
+        for _ in range(3):
+            word = random_word(rng, 6)
+            rho_word_exact(word, r)
+            hits = rt_torus._rho_word_product.cache_info().hits
+            warm, s_warm = rho_word_exact(word, r)
+            assert rt_torus._rho_word_product.cache_info().hits == hits + 1
+            rt_torus._rho_word_product.cache_clear()
+            cold, s_cold = rho_word_exact(word, r)
+            assert s_warm == s_cold and _parts(warm) == _parts(cold), (word, r)
+    # the product kept for r = 5 does not answer r = 5.0, which fails cold
+    rho_word_exact([("S", 1)], 5)
+    with pytest.raises(TypeError):
+        rho_word_exact([("S", 1)], 5.0)
+
+
 def test_f_of_twist_solve():
     c = f_of_twist_solve(3)
     kappa = c[0] / t_power(3, 1)

@@ -1,10 +1,12 @@
 """Every input check raises its own error on a bad input."""
+from fractions import Fraction
+
 import pytest
 
 from thetaforge import heisenberg as hz
 from thetaforge import linalg, pillowcase, quantum_group as qg, rt_torus as rt
 from thetaforge.scalar import CycScalar, cyclotomic_poly, gauss_sum, index_fold, qint
-from thetaforge.sl2z import SL2Z
+from thetaforge.sl2z import SL2Z, word_matrix
 
 
 def _disconnected():
@@ -27,6 +29,8 @@ CASES = [
     ("index_fold_r1", lambda: index_fold(1, 1), ValueError, "r must be >= 2"),
     # linalg
     ("mat_mul_empty", lambda: linalg.mat_mul([], [[CycScalar.one(3)]]), ValueError, "non-empty"),
+    # sl2z
+    ("word_matrix_exponent", lambda: word_matrix([("S", 1.5)]), TypeError, "exponent of 'S'"),
     # rt_torus
     ("skein_mode", lambda: rt.TorusSkein(1), ValueError, "mode must be"),
     ("skein_mixed_modes", lambda: rt.TorusSkein.curve(1, 0, 3) + rt.TorusSkein.curve(1, 0, 4), ValueError, "mixed skein"),
@@ -36,7 +40,11 @@ CASES = [
     ("curve_transform_det", lambda: rt.curve_transform(SL2Z(2, 0, 0, 1), 1, 0), ValueError, "unimodular"),
     ("project_generic", lambda: rt.project_solid_torus(rt.TorusSkein.curve(1, 0, rt.GENERIC)), ValueError, "reduced skein"),
     ("wilson_dimension", lambda: rt.wilson_matrix(1, 0, -1, 3), ValueError, "dimension"),
+    ("skein_coefficient_order", lambda: rt.TorusSkein(5, {(1, 0): CycScalar.one(3)}), ValueError, "mixed cyclotomic"),
+    ("skein_scaled_order", lambda: rt.TorusSkein(5, {(1, 0): 2}).scaled(CycScalar.one(3)), ValueError, "mixed cyclotomic"),
     ("rho_word_letter", lambda: rt.rho_word_exact([("X", 1)], 3), ValueError, "unknown generator"),
+    ("rho_word_s_exponent", lambda: rt.rho_word_exact([("S", 1.5)], 3), TypeError, "exponent of 'S'"),
+    ("rho_word_t_exponent", lambda: rt.rho_word_exact([("T", 1.5)], 3), TypeError, "exponent of 'T'"),
     # pillowcase
     ("weyl_cos_r1", lambda: pillowcase.weyl_cos_matrix((1, 0), 1), ValueError, "r must be >= 2"),
     ("wilson_decompose_dimension", lambda: pillowcase.wilson_decompose(1, 0, -1), ValueError, "dimension"),
@@ -44,11 +52,14 @@ CASES = [
     ("heis_alg_odd_n", lambda: hz.HeisAlgElt(3), ValueError, "even"),
     ("heis_alg_mixed_add", lambda: hz.HeisAlgElt.basis(2, 1, 0) + hz.HeisAlgElt.basis(4, 1, 0), ValueError, "mixed moduli"),
     ("finite_mul_mixed", _finite_mixed, ValueError, "mixed moduli"),
+    ("heis_alg_coefficient_order", lambda: hz.HeisAlgElt(4, {(1, 0): CycScalar.one(5)}), ValueError, "mixed cyclotomic"),
     ("algebra_rep_coefficient_order", lambda: hz.algebra_rep(hz.HeisAlgElt(4, {(1, 0): CycScalar.one(5)})), ValueError, "mixed cyclotomic"),
     ("matrix_to_heisenberg_size", lambda: hz.matrix_to_heisenberg([[CycScalar.one(1)]], 2), ValueError, "size"),
     ("f_of_t_skein_odd_n", lambda: hz.f_of_t_skein(3), ValueError, "even"),
     ("lagrangian_zero", lambda: hz.LagrangianLine.of(0, 0), ValueError, "nonzero direction"),
     ("fourier_letter", lambda: hz.fourier_word_exact([("X", 1)], 4), ValueError, "unknown generator"),
+    ("fourier_s_exponent", lambda: hz.fourier_word_exact([("S", 1.5)], 4), TypeError, "exponent of 'S'"),
+    ("observable_exponent", lambda: hz.observable_action_matrix([("T", Fraction(1, 2))]), TypeError, "exponent of 'T'"),
     ("fourier_odd_n", lambda: hz.fourier_word_exact([("S", 1)], 3), ValueError, "even"),
     ("fourier_abelian_odd_n", lambda: hz.fourier_abelian([("S", 1)], 5), ValueError, "even"),
     ("t_heis_odd_n", lambda: hz.t_heis(3, 1), ValueError, "even"),
