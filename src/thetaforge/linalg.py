@@ -186,7 +186,12 @@ def mat_scale(c, a):
 
 
 def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    """Whether a and b have the same shape and equal entries.
+
+    Rows compare as lists, whose == checks lengths and then identity before
+    it calls __eq__, so an entry that both sides share costs no comparison.
+    """
+    return list(map(list, a)) == list(map(list, b))
 
 
 def mat_is_zero(a):

@@ -116,19 +116,25 @@ def project_solid_torus(s: TorusSkein):
 def rt_rep_matrix(s, r: int):
     """Matrix of left multiplication on the solid-torus module.
 
-    Accepts a TorusSkein or a bare (p, q) pair.  Column j (for V^j) of a
-    basis curve is t^{-pq} (t^{2qj} V^{j-p} + t^{-2qj} V^{j+p}), folded.
+    Accepts a TorusSkein or a bare (p, q) pair, the basis curve (p,q)_T.
+    Column j (for V^j) of a basis curve is t^{-pq} (t^{2qj} V^{j-p} +
+    t^{-2qj} V^{j+p}), folded.  A unit coefficient puts the shared
+    t_power instances in the matrix.
     """
     if isinstance(s, tuple):
-        s = TorusSkein.curve(s[0], s[1], r)
-    if s.base == GENERIC or s.base != r:
+        if not isinstance(r, int) or r < 2:
+            raise ValueError("representation needs an integer r >= 2")
+        terms = ((canonical_curve(*s), CycScalar.one(r)),)
+    elif s.base == GENERIC or s.base != r:
         raise ValueError("representation needs matching reduced mode")
+    else:
+        terms = s.terms.items()
     n = r - 1
-    zero = CycScalar.zero(r)
+    zero, one = CycScalar.zero(r), CycScalar.one(r)
     mat = [[zero] * n for _ in range(n)]
-    for (p, q), c in s.terms.items():
+    for (p, q), c in terms:
         c = CycScalar.coerce(c, r)
-        unit = c == 1
+        unit = c == one
         for j in range(1, r):
             col = j - 1
             for n_target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):

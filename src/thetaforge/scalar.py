@@ -9,7 +9,10 @@ cyclotomic polynomial, rather than by x^{4r}-1, is essential: the former
 is a field, the latter has zero divisors.  The constructor reduces and
 normalizes; the constructors and operations whose result is already in
 that form (zero, integers, negation, shifts by roots of unity, t_power)
-store it directly.
+store it directly.  Instances are immutable, so each order r keeps one
+shared zero and one shared t^e for each e mod 4r: CycScalar.zero,
+CycScalar.one and t_power hand those out, and == answers True for one
+object without comparing coefficients.
 
 Inverses and complex conjugates come from the Galois maps
 zeta -> zeta^k.  The complex embedding is fixed point: one exact integer
@@ -187,11 +190,13 @@ class CycScalar:
 
     @classmethod
     def zero(cls, r):
-        return _from_normalized(r, (0,) * euler_phi(4 * r), 1)
+        """The zero of order r, one shared instance per r."""
+        return _zero(r)
 
     @classmethod
     def one(cls, r):
-        return cls.from_int(1, r)
+        """The one of order r, the shared t^0."""
+        return _root_scalars(r)[0]
 
     @classmethod
     def from_int(cls, n, r):
@@ -279,11 +284,11 @@ class CycScalar:
         The coefficients rotate by e in Z[x]/(x^{2r} + 1), the wrapped part
         negated since t^{2r} = -1, and are reduced modulo Phi_{4r}, which
         divides x^{2r} + 1.  t^e is a unit of Z[t], so the content and the
-        denominator stay.  For e = 0 mod 4r it is self.
+        denominator stay.  For e = 0 mod 4r, and for a zero self, it is self.
         """
         n = 2 * self.r
         e %= 2 * n
-        if not e:
+        if not e or not any(self.num):
             return self
         s = e % n
         vec = list(self.num)
@@ -351,6 +356,8 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, CycScalar):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -426,6 +433,18 @@ def _from_normalized(r, num, den):
 
 
 @functools.lru_cache(maxsize=None)
+def _zero(r):
+    """The zero of order r that CycScalar.zero shares."""
+    return _from_normalized(r, (0,) * euler_phi(4 * r), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_scalars(r):
+    """(t^0, t^1, ..., t^{4r-1}) of order r, the instances t_power shares."""
+    return tuple(_from_normalized(r, vec, 1) for vec in _root_powers(4 * r)[0])
+
+
+@functools.lru_cache(maxsize=None)
 def _galois_units(m):
     """The units k != 1 of Z/m: the Galois group of Q(zeta_m) less the identity."""
     return tuple(k for k in range(2, m) if gcd(k, m) == 1)
@@ -466,9 +485,9 @@ def _mpf_ratio(p, q):
 # ---------------------------------------------------------------------------
 
 def t_power(r: int, e: int) -> CycScalar:
-    """t^e where t = zeta_{4r} = exp(i*pi/2r), e taken modulo 4r."""
-    m = 4 * r
-    return _from_normalized(r, _root_powers(m)[0][e % m], 1)
+    """t^e where t = zeta_{4r} = exp(i*pi/2r), e taken modulo 4r: the
+    shared instance, so t_power(r, e) is t_power(r, e + 4r)."""
+    return _root_scalars(r)[e % (4 * r)]
 
 
 def index_fold(j: int, r: int):

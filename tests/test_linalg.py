@@ -144,6 +144,17 @@ def test_mat_mul_rejects_shape_mismatch():
         linalg.mat_mul([[one, one]], [[one, one], [one]])
 
 
+def test_mat_eq_shape_mismatch():
+    one = CycScalar.one(5)
+    assert linalg.mat_eq([[one, one]], [[one, one]])
+    assert linalg.mat_eq([[one]], ((one,),))  # tuple rows compare as lists
+    assert not linalg.mat_eq([[one]], [[one], [one]])
+    assert not linalg.mat_eq([[one], [one]], [[one]])
+    assert not linalg.mat_eq([[one]], [[one, one]])
+    assert not linalg.mat_eq([[one, one]], [[one]])
+    assert not linalg.mat_eq([], [[one]])
+
+
 # -- RowSpan against a dense schoolbook elimination -------------------------
 
 def _rank(vectors):

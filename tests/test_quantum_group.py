@@ -20,7 +20,8 @@ from thetaforge.quantum_group import (
     theta_graph,
     verlinde_numeric,
 )
-from thetaforge.scalar import CycScalar, qint, t_power
+from thetaforge.rt_torus import hopf_gram
+from thetaforge.scalar import CycScalar, eta_inverse_square, qint, t_power
 
 
 def test_irrep_small():
@@ -168,6 +169,24 @@ def test_quantum_dimension_eigenvector():
             ]
             want = [qint(a, r) * qdim[p] for p in range(r - 1)]
             assert image == want, (r, a)
+
+
+def test_verlinde_diagonalises_fusion():
+    # G N_a G = (sum_j [j]^2) diag([aj]/[j]), G the Hopf Gram matrix [jk]:
+    # the S-matrix diagonalises every fusion matrix, column by column, and
+    # not only on the quantum-dimension vector
+    for r in range(3, 11):
+        gram = hopf_gram(r)
+        norm = eta_inverse_square(r)
+        zero = CycScalar.zero(r)
+        for a in range(1, r):
+            fusion = [[CycScalar.from_int(n, r) for n in row] for row in fusion_matrix(a, r)]
+            got = linalg.mat_mul(linalg.mat_mul(gram, fusion), gram)
+            want = [
+                [norm * qint(a * j, r) / qint(j, r) if i == j else zero for j in range(1, r)]
+                for i in range(1, r)
+            ]
+            assert linalg.mat_eq(got, want), (r, a)
 
 
 def test_graph_validation():

@@ -146,6 +146,19 @@ def test_rt_rep_examples():
     assert linalg.mat_eq(half, want)
 
 
+def test_pair_matches_skein_curve():
+    # the bare pair builds from its one canonical term, with no TorusSkein;
+    # the box holds (0, 0), both signs of each curve and labels past 2r
+    for r in range(2, 9):
+        for p in range(-2 * r, 2 * r + 1):
+            for q in range(-2 * r, 2 * r + 1):
+                pair = rt_rep_matrix((p, q), r)
+                skein = rt_rep_matrix(TorusSkein.curve(p, q, r), r)
+                assert [[(x.num, x.den) for x in row] for row in pair] == [
+                    [(x.num, x.den) for x in row] for row in skein
+                ], (r, p, q)
+
+
 def test_rep_eigenvalues_of_meridian():
     for r in range(2, 9):
         mat = rt_rep_matrix((0, 1), r)

@@ -11,6 +11,7 @@ from thetaforge.scalar import (
     DEFAULT_PREC_BITS,
     CycScalar,
     LaurentPoly,
+    _root_powers,
     cyclotomic_poly,
     euler_phi,
     gauss_sum,
@@ -350,3 +351,49 @@ def test_root_exponent_rejects_non_roots(r):
         assert qint(2, r).root_exponent() == 0
     elif r > 3:
         assert qint(2, r).root_exponent() is None
+
+
+# -- shared instances -----------------------------------------------------------
+
+def test_roots_and_zero_are_shared():
+    for r in (1, 2, 5, 12):
+        m = 4 * r
+        for e in range(-m, 2 * m):
+            assert t_power(r, e) is t_power(r, e + m)
+        assert CycScalar.zero(r) is CycScalar.zero(r)
+        assert CycScalar.one(r) is t_power(r, 0)
+        assert CycScalar.zero(r).times_root(3) is CycScalar.zero(r)
+
+
+@pytest.mark.parametrize("r", [2, 5, 12])
+def test_equal_copy_of_a_shared_instance(r):
+    # equality by identity first must not make equal values of distinct
+    # instances unequal
+    t3 = t_power(r, 3)
+    copy = CycScalar(r, t3.num)
+    assert copy is not t3
+    assert copy == t3 and t3 == copy and hash(copy) == hash(t3)
+    zero = CycScalar(r, (), 7)
+    assert zero is not CycScalar.zero(r)
+    assert zero == CycScalar.zero(r) and hash(zero) == hash(CycScalar.zero(r))
+    one = CycScalar.from_int(1, r)
+    assert one is not CycScalar.one(r) and one == CycScalar.one(r) and one == 1
+    assert copy != t_power(r, 4) and zero != one
+
+
+def test_no_operation_writes_into_a_shared_instance():
+    from thetaforge import heisenberg, linalg, pillowcase, rt_torus
+
+    r = 4
+    word = [("T", 1), ("S", 1), ("T", -2), ("S", 1)]
+    exact, _ = rt_torus.rho_word_exact(word, r)
+    heisenberg.fourier_word_exact(word, 2 * r)  # order N/2 = r
+    assert pillowcase.equivalence_check(r)["mismatches"] == []
+    skein = rt_torus.skein_from_matrix(exact, r)
+    assert linalg.mat_eq(rt_torus.rt_rep_matrix(skein, r), exact)
+    roots = _root_powers(4 * r)[0]
+    for e, vec in enumerate(roots):
+        x = t_power(r, e)
+        assert (x.r, x.num, x.den) == (r, vec, 1), e
+    zero = CycScalar.zero(r)
+    assert (zero.r, zero.num, zero.den) == (r, (0,) * euler_phi(4 * r), 1)

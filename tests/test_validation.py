@@ -35,6 +35,7 @@ CASES = [
     ("skein_mode", lambda: rt.TorusSkein(1), ValueError, "mode must be"),
     ("skein_mixed_modes", lambda: rt.TorusSkein.curve(1, 0, 3) + rt.TorusSkein.curve(1, 0, 4), ValueError, "mixed skein"),
     ("rt_rep_mode", lambda: rt.rt_rep_matrix(rt.TorusSkein.curve(1, 0, 3), 4), ValueError, "matching reduced"),
+    ("rt_rep_pair_r1", lambda: rt.rt_rep_matrix((1, 0), 1), ValueError, "r >= 2"),
     ("rt_rep_coefficient_order", lambda: rt.rt_rep_matrix(rt.TorusSkein(5, {(1, 0): 2 * CycScalar.one(3)}), 5), ValueError, "mixed cyclotomic"),
     ("rt_rep_unit_coefficient_order", lambda: rt.rt_rep_matrix(rt.TorusSkein(5, {(1, 0): CycScalar.one(3)}), 5), ValueError, "mixed cyclotomic"),
     ("curve_transform_det", lambda: rt.curve_transform(SL2Z(2, 0, 0, 1), 1, 0), ValueError, "unimodular"),
