@@ -144,7 +144,7 @@ def algebra_rep(x: HeisAlgElt):
             i = (j + p) % N
             term = c.times_root(-p * q - 2 * j * q)
             entry = mat[i][j]
-            mat[i][j] = entry + term if entry else term
+            mat[i][j] = term if entry is zero else entry + term
     return mat
 
 

@@ -1,21 +1,115 @@
 """Small exact linear algebra kernel.
 
 Matrices are lists (or tuples) of rows, a vector an n x 1 column.
-``mat_mul`` multiplies CycScalar entries.  When one operand is monomial
-with root-of-unity entries (at most one nonzero per row of the left
-operand, or per column of the right one, each a power of t), as the
-identity, the twists diag(t^e) and the Heisenberg shifts are, the
-product only permutes and exponent-shifts the other operand; any other
-pair goes through packed exact dot products.  ``RowSpan`` eliminates
-CycScalar vectors exactly; the other routines need entries that support
-+, -, *, == and truth testing.  Nothing ever rounds.
+``mat_mul`` multiplies CycScalar entries by the first of three rules that
+applies: a monomial operand of roots of unity only permutes and
+exponent-shifts the other; two operands whose nonzero entries are all
+roots of unity count exponents; any other pair goes through
+Kronecker-packed exact dot products, packed and unpacked in C by
+``struct`` while a slot fits in 64 bits.  ``mat_scale`` by a CycScalar
+runs the same kernel on the column of entries times [[c]].  ``RowSpan``
+eliminates CycScalar vectors exactly; the other routines need entries that
+support +, -, *, == and truth testing.  Nothing ever rounds.
 """
 from __future__ import annotations
 
+import struct
 from bisect import insort
 from math import lcm
+from operator import lshift, mul, sub
 
 from .scalar import CycScalar, euler_phi
+
+# slot width in bits -> struct code of a signed integer of that width
+_STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _slot_ones(w, n):
+    """sum(2**(w*e) for e < n): a one in each of n slots of w bits."""
+    return ((1 << (w * n)) - 1) // ((1 << w) - 1)
+
+
+def _order(*mats):
+    """The one cyclotomic order r of the entries of mats.
+
+    TypeError for an entry that is not a CycScalar, ValueError for mixed
+    orders.
+    """
+    r = None
+    for mat in mats:
+        for row in mat:
+            for x in row:
+                if type(x) is not CycScalar:
+                    raise TypeError(f"mat_mul needs CycScalar entries, got {type(x).__name__}")
+                if x.r != r:
+                    if r is not None:
+                        raise ValueError(f"mixed cyclotomic orders r={r} and r={x.r}")
+                    r = x.r
+    return r
+
+
+def _root_exponents(lines, zero):
+    """Each line as the list of its entries' exponents e, entry == t^e, with
+    None for a zero entry; None when some entry is neither."""
+    out = []
+    for line in lines:
+        exps = []
+        for x in line:
+            if x is zero:
+                e = None
+            else:
+                e = x.root_exponent()
+                if e is None and x:
+                    return None
+            exps.append(e)
+        out.append(exps)
+    return out
+
+
+def _monomial(exps):
+    """[(s, e) | None, ...] when each exponent line has at most one entry,
+    t^e at index s (None for a zero line); otherwise None."""
+    out = []
+    for line in exps:
+        hits = [(s, e) for s, e in enumerate(line) if e is not None]
+        if len(hits) > 1:
+            return None
+        out.append(hits[0] if hits else None)
+    return out
+
+
+def _root_product(exps_a, exps_b, r):
+    """Rule 2 of mat_mul from the exponents of a's rows and b's columns.
+
+    An entry t^e of a packs as 2**(w*e) and a zero as 0; an entry t^f of
+    b shifts it left by w*f bits, and a zero by 8r slots.  So one dot
+    product counts its exponent sums e + f <= 8r - 2 in slots below 8r,
+    each count at most k < 2**w, and the products with a zero of b land
+    in the slots from 8r on, which are dropped.  Adding the slots from 4r
+    on to the ones below (t^(4r) = 1) leaves each count at most k; the
+    slots 2r .. 4r - 1 then subtract from 0 .. 2r - 1 (t^(2r) = -1), and
+    CycScalar reduces modulo Phi_{4r}.
+    """
+    k = len(exps_b[0])
+    w = next(w for w in _STRUCT_CODES if k < 1 << w)
+    n = 2 * r
+    counts = struct.Struct(f"<{2 * n}{_STRUCT_CODES[w].upper()}").unpack
+    size, kept, low = w // 4 * n, (1 << (4 * w * n)) - 1, (1 << (2 * w * n)) - 1
+    cols = [[w * (4 * n if e is None else e) for e in col] for col in exps_b]
+    zero = CycScalar.zero(r)
+    out = []
+    for exps in exps_a:
+        row = [0 if e is None else 1 << (w * e) for e in exps]
+        out_row = []
+        for col in cols:
+            acc = sum(map(lshift, row, col)) & kept
+            if not acc:
+                out_row.append(zero)
+                continue
+            c = counts(((acc & low) + (acc >> (2 * w * n))).to_bytes(size, "little"))
+            out_row.append(CycScalar(r, list(map(sub, c[:n], c[n:]))))
+        out.append(out_row)
+    return out
 
 
 def _pack_prep(vectors):
@@ -46,72 +140,152 @@ def _pack_prep(vectors):
     return out, bits
 
 
-def _pack(entries, w):
-    """Each (num, scale) as the integer scale * sum(num[e] * 2**(w*e)); None as 0."""
+def _codec(w, r):
+    """(pack, unpack) for slots of w bits at order r, with phi = euler_phi(4r).
+
+    pack(num, scale) is scale * sum(num[e] * 2**(w*e)) for phi signed
+    coefficients below 2**(w-1) in absolute value.  unpack(acc) takes a
+    sum acc = sum(c[e] * 2**(w*e)), e < 2*phi - 1, of products of such
+    integers and gives the coefficients of sum(c[e] * x**e) modulo
+    x**(2r) + 1, which Phi_{4r} divides: n = min(2*phi - 1, 2r) signed
+    slots, each below 2**(w-1) in absolute value.
+    """
+    phi = euler_phi(4 * r)
+    slots = 2 * phi - 1
+    n = min(slots, 2 * r)
+    half = 1 << (w - 1)
+    bias, high_bias = half * _slot_ones(w, slots), half * _slot_ones(w, slots - n)
+    low = (1 << (w * n)) - 1
+
+    def fold(acc):
+        """Slot e < n of the result holds c[e] - c[e + 2r] + 2**(w-1)."""
+        u = acc + bias
+        return (u & low) - (u >> (w * n)) + high_bias
+
+    code = _STRUCT_CODES.get(w)
+    if code is None:
+        mask = (1 << w) - 1
+        shifts = range(0, w * n, w)
+
+        def pack(num, scale):
+            p = 0
+            for c in reversed(num):
+                p = (p << w) + c
+            return p * scale
+
+        def unpack(acc):
+            u = fold(acc)
+            return [((u >> sh) & mask) - half for sh in shifts]
+
+        return pack, unpack
+    to_bytes = struct.Struct(f"<{phi}{code}").pack
+    from_bytes = struct.Struct(f"<{n}{code}").unpack
+    top, signs = half * _slot_ones(w, phi), half * _slot_ones(w, n)
+    size = w // 8 * n
+
+    def pack(num, scale):
+        u = int.from_bytes(to_bytes(*num), "little")
+        return (u - ((u & top) << 1)) * scale
+
+    def unpack(acc):
+        return from_bytes((fold(acc) ^ signs).to_bytes(size, "little"))
+
+    return pack, unpack
+
+
+def _packed_product(a, columns, r):
+    """Rule 3 of mat_mul: Kronecker-packed dot products of a's rows and columns."""
+    phi = euler_phi(4 * r)
+    rows, bits_a = _pack_prep(a)
+    cols, bits_b = _pack_prep(columns)
+    w = bits_a + bits_b + (len(columns[0]) * phi).bit_length() + 1
+    w = next((s for s in _STRUCT_CODES if s >= w), w)
+    pack, unpack = _codec(w, r)
+    packed_cols = [
+        (den, [0 if x is None else pack(*x) for x in entries]) for den, entries in cols
+    ]
+    zero = CycScalar.zero(r)
     out = []
-    for entry in entries:
-        if entry is None:
-            out.append(0)
-            continue
-        num, scale = entry
-        p = 0
-        for c in reversed(num):
-            p = (p << w) + c
-        out.append(p * scale)
+    for row_den, entries in rows:
+        packed = [0 if x is None else pack(*x) for x in entries]
+        row = []
+        for col_den, col in packed_cols:
+            acc = sum(map(mul, packed, col))
+            row.append(CycScalar(r, unpack(acc), row_den * col_den) if acc else zero)
+        out.append(row)
     return out
 
 
-def _monomial(lines):
-    """[(s, e) | None, ...] when each line has at most one nonzero entry,
-    at index s and equal to t^e (None for a zero line); otherwise None."""
-    out = []
-    for line in lines:
-        hit = None
-        for s, x in enumerate(line):
-            if x:
-                if hit is not None:
-                    return None
-                hit = s
-        if hit is None:
-            out.append(None)
-            continue
-        e = line[hit].root_exponent()
-        if e is None:
-            return None
-        out.append((hit, e))
-    return out
+def _product(a, b, r):
+    """mat_mul of validated operands of order r."""
+    zero = CycScalar.zero(r)
+    m = len(b[0])
+    exps_a = _root_exponents(a, zero)
+    left = None if exps_a is None else _monomial(exps_a)
+    if left is not None:
+        return [
+            [zero] * m if hit is None else [x.times_root(hit[1]) for x in b[hit[0]]] for hit in left
+        ]
+    columns = list(zip(*b))
+    exps_b = _root_exponents(columns, zero)
+    right = None if exps_b is None else _monomial(exps_b)
+    if right is not None:
+        return [
+            [zero if hit is None else row[hit[0]].times_root(hit[1]) for hit in right] for row in a
+        ]
+    if exps_a is not None and exps_b is not None:
+        return _root_product(exps_a, exps_b, r)
+    return _packed_product(a, columns, r)
 
 
 def mat_mul(a, b):
     """Exact product of an n x k and a k x m matrix of CycScalar entries.
 
-    Monomial rule: when each row of a has at most one nonzero entry and
-    each such entry is a root of unity t^e, row i of the product is row
-    s of b times t^e, for the nonzero a[i][s], each entry by an exponent
-    shift (CycScalar.times_root, which shares the entry when e = 0), and
-    a zero row of a gives a zero row.  Otherwise the same rule is tried on
-    the columns of b.  This covers the identity, diagonal twists and the
-    Heisenberg monomials.
+    The first of three rules that applies forms the product, each giving
+    the value of the schoolbook sum of CycScalar products:
 
-    Any other pair takes the packed path.  Each row of a and each column
-    of b is brought to one common denominator, and every entry's integer
-    coefficient vector c is packed into the single integer
-    sum(c[e] * 2**(w*e)) (Kronecker substitution).  One product entry is
-    then k integer multiply-adds, one signed unpack of its 2*phi - 1
-    slots, one reduction modulo Phi_{4r} and one normalisation, where
-    phi = euler_phi(4r).
+    1. Monomial.  When each row of a has at most one nonzero entry and
+       each such entry is a root of unity t^e, row i of the product is
+       row s of b times t^e, for the nonzero a[i][s], each entry by an
+       exponent shift (CycScalar.times_root, which shares the entry when
+       e = 0), and a zero row of a gives a zero row.  Otherwise the same
+       rule is tried on the columns of b.  This covers the identity,
+       diagonal twists and the Heisenberg monomials.
+    2. Roots.  When every nonzero entry of a and of b is a root of unity,
+       entry (i, j) is sum_s t^(e_is + f_sj): its exponents are counted
+       modulo 4r, folded by t^(2r) = -1 and reduced once modulo Phi_{4r}.
+       This is the abelian S-step F D F.
+    3. Packed.  Each row of a and each column of b is brought to one
+       common denominator, and every entry's integer coefficient vector c
+       is packed into the single integer sum(c[e] * 2**(w*e)) (Kronecker
+       substitution).  One product entry is then k integer multiply-adds,
+       a fold of its 2*phi - 1 slots by t^(2r) = -1, one signed unpack of
+       the at most 2r slots left, one reduction modulo Phi_{4r} and one
+       normalisation, where phi = euler_phi(4r).
 
-    Packing is exact because no slot overflows: a slot of the packed dot
+    Packing is exact because no slot overflows.  A slot of the packed dot
     product holds sum_s sum_{i+j=e} a_s[i] * b_s[j], at most k * phi
     terms, so its absolute value is below k * phi * 2**bits_a * 2**bits_b
     when every packed coefficient of a (of b) is below 2**bits_a
-    (2**bits_b).  The slot width w = bits_a + bits_b +
-    bit_length(k * phi) + 1 keeps it below 2**(w-1), which leaves room
-    for the sign.  Zero entries pack to 0 and are skipped.
+    (2**bits_b).  The fold keeps that bound: as phi <= 2r, for each s and
+    i at most one j < phi has i + j = e mod 2r.  The least width w0 =
+    bits_a + bits_b + bit_length(k * phi) + 1 keeps every slot below
+    2**(w0-1), which leaves room for the sign.  w0 is rounded up to the
+    next of 8, 16, 32 and 64 bits, or kept past 64; a wider slot only adds
+    headroom, so every packed coefficient and every slot, before and after
+    the fold, is a signed w-bit integer.  Up to 64 bits, struct writes the
+    coefficients as w-bit two's complement, read as one unsigned integer
+    u: a negative slot reads 2**w too high and has its top bit set, so
+    u - ((u & top) << 1), top holding the top bit of each slot, is the
+    signed packing.  To unpack, adding bias = 2**(w-1) in every slot makes
+    each slot nonnegative and below 2**w, before and after the fold, so no
+    carry crosses a slot; XOR with bias then leaves each slot's two's
+    complement, which struct reads back signed.  Past 64 bits a shift loop
+    packs and unpacks.  Zero entries pack to 0.
 
-    Both operands are validated before either rule: TypeError for an
-    entry that is not a CycScalar, ValueError for mixed cyclotomic orders
-    or mismatched shapes.
+    Both operands are validated before any rule: TypeError for an entry
+    that is not a CycScalar, ValueError for mixed cyclotomic orders or
+    mismatched shapes.
     """
     k = len(b)
     if not a or not k:
@@ -119,58 +293,7 @@ def mat_mul(a, b):
     m = len(b[0])
     if any(len(row) != k for row in a) or any(len(row) != m for row in b):
         raise ValueError("mat_mul shape mismatch")
-    r = None
-    for row in (*a, *b):
-        for x in row:
-            if type(x) is not CycScalar:
-                raise TypeError(f"mat_mul needs CycScalar entries, got {type(x).__name__}")
-            if x.r != r:
-                if r is not None:
-                    raise ValueError(f"mixed cyclotomic orders r={r} and r={x.r}")
-                r = x.r
-    zero = CycScalar.zero(r)
-    left = _monomial(a)
-    if left is not None:
-        return [
-            [zero] * m if hit is None else [x.times_root(hit[1]) for x in b[hit[0]]] for hit in left
-        ]
-    columns = list(zip(*b))
-    right = _monomial(columns)
-    if right is not None:
-        return [
-            [zero if hit is None else row[hit[0]].times_root(hit[1]) for hit in right] for row in a
-        ]
-    phi = euler_phi(4 * r)
-    rows, bits_a = _pack_prep(a)
-    cols, bits_b = _pack_prep(columns)
-    w = bits_a + bits_b + (k * phi).bit_length() + 1
-    slots = 2 * phi - 1
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    bias = 0
-    for _ in range(slots):
-        bias = (bias << w) + half
-    shifts = range(0, w * slots, w)
-    packed_cols = [(den, _pack(entries, w)) for den, entries in cols]
-    out = []
-    for row_den, row_entries in rows:
-        row_packed = [(s, p) for s, p in enumerate(_pack(row_entries, w)) if p]
-        row = []
-        for col_den, col_packed in packed_cols:
-            acc = 0
-            for s, p in row_packed:
-                q = col_packed[s]
-                if q:
-                    acc += p * q
-            if not acc:
-                row.append(zero)
-                continue
-            acc += bias
-            row.append(
-                CycScalar(r, [((acc >> sh) & mask) - half for sh in shifts], row_den * col_den)
-            )
-        out.append(row)
-    return out
+    return _product(a, b, _order(a, b))
 
 
 def mat_add(a, b):
@@ -182,7 +305,19 @@ def mat_sub(a, b):
 
 
 def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+    """c * x for each entry x of a.
+
+    For a CycScalar c and CycScalar entries this is mat_mul's kernel on
+    the column of entries times [[c]]: exponent shifts when c, or every
+    entry, is a root of unity or zero, otherwise c packed once and one
+    big-int product per entry; ValueError for mixed orders.  Any other c
+    or entry is multiplied as c * x.
+    """
+    column = [[x] for row in a for x in row]
+    if type(c) is not CycScalar or not column or any(type(x) is not CycScalar for (x,) in column):
+        return [[c * x for x in row] for row in a]
+    products = iter(_product(column, [[c]], _order([[c]], column)))
+    return [[next(products)[0] for _ in row] for row in a]
 
 
 def mat_eq(a, b):

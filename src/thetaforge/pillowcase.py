@@ -56,7 +56,7 @@ def weyl_cos_matrix(obs, r: int):
                 # a fold sign of -1 is the factor t^{2r}
                 exponent = phase - p * q if sign > 0 else phase - p * q + 2 * r
                 entry, term = mat[idx - 1][j - 1], t_power(r, exponent)
-                mat[idx - 1][j - 1] = entry + term if entry else term
+                mat[idx - 1][j - 1] = term if entry is zero else entry + term
     return mat
 
 

@@ -144,7 +144,7 @@ def rt_rep_matrix(s, r: int):
                     e = phase - p * q if sign > 0 else phase - p * q + 2 * r
                     term = t_power(r, e) if unit else c.times_root(e)
                     entry = mat[idx - 1][col]
-                    mat[idx - 1][col] = entry + term if entry else term
+                    mat[idx - 1][col] = term if entry is zero else entry + term
     return mat
 
 
@@ -294,7 +294,7 @@ def _kp_sum(a, b, c, d, r, start):
             e = c * d * K * K // 4 + b * c * K * j + a * b * j * j
             term = t_power(r, e if sign > 0 else e + 2 * r)
             entry = mat[idx - 1][j - 1]
-            mat[idx - 1][j - 1] = entry + term if entry else term
+            mat[idx - 1][j - 1] = term if entry is zero else entry + term
     return mat
 
 
@@ -339,9 +339,7 @@ def _exact_proportionality(m1, m2, r):
         return CycScalar.one(r) if linalg.mat_is_zero(m1) else None
     i, j = pivot
     scalar = m1[i][j] / m2[i][j]
-    if all(x == scalar * y for row1, row2 in zip(m1, m2) for x, y in zip(row1, row2)):
-        return scalar
-    return None
+    return scalar if linalg.mat_eq(m1, linalg.mat_scale(scalar, m2)) else None
 
 
 # -- reconstruction and presentation ------------------------------------------

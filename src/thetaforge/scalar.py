@@ -144,15 +144,6 @@ def _root_powers(m: int):
     return tuple(powers), {v: e for e, v in enumerate(powers)}
 
 
-def _content(vec):
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
 class CycScalar:
     """An exact element of Q(zeta_{4r}), zeta_{4r} = exp(i*pi/2r).
 
@@ -179,7 +170,7 @@ class CycScalar:
             vec = [-c for c in vec]
         elif den == 0:
             raise ZeroDivisionError("zero denominator")
-        g = gcd(_content(vec), den) if den > 1 else 1
+        g = gcd(den, *vec) if den > 1 else 1
         if g > 1:
             vec = [c // g for c in vec]
             den //= g

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaforge import linalg
+from thetaforge import linalg, rt_torus
 from thetaforge.scalar import CycScalar, euler_phi, t_power
 
 
@@ -12,6 +12,11 @@ def _schoolbook(a, b):
     """Reference product: one CycScalar * and + per term."""
     zero = CycScalar.zero(a[0][0].r)
     return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def _bits(rows):
+    """Each entry as (num, den): equal exactly when the entries are bit-identical."""
+    return [[(x.num, x.den) for x in row] for row in rows]
 
 
 @st.composite
@@ -63,17 +68,28 @@ def _monomial(draw, r, rows, cols):
 
 
 @st.composite
+def _root(draw, r):
+    """A root of unity or zero, shared or an equal fresh instance."""
+    x = CycScalar.zero(r) if draw(st.integers(0, 3)) == 0 else t_power(r, draw(st.integers(0, 4 * r - 1)))
+    return CycScalar(r, x.num) if draw(st.booleans()) else x
+
+
+@st.composite
 def _operands(draw):
     r = draw(st.integers(2, 12))
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
     bits = draw(st.sampled_from((1, 8, 64, 200)))
     a = [[draw(_scalar(r, bits)) for _ in range(k)] for _ in range(n)]
     b = [[draw(_scalar(r, bits)) for _ in range(m)] for _ in range(k)]
-    monomial = draw(st.sampled_from(("neither", "left", "right", "both")))
-    if monomial in ("left", "both"):
+    kind = draw(st.sampled_from(("neither", "left", "right", "both", "roots")))
+    if kind in ("left", "both"):
         a = draw(_monomial(r, n, k))
-    if monomial in ("right", "both"):  # at most one nonzero per column
+    if kind in ("right", "both"):  # at most one nonzero per column
         b = [list(col) for col in zip(*draw(_monomial(r, m, k)))]
+    if kind == "roots":  # dense roots of unity with zeros: the exponent-counting rule
+        n, k, m = (draw(st.integers(1, 8)) for _ in range(3))
+        a = [[draw(_root(r)) for _ in range(k)] for _ in range(n)]
+        b = [[draw(_root(r)) for _ in range(m)] for _ in range(k)]
     if draw(st.booleans()):
         a[draw(st.integers(0, n - 1))] = [CycScalar.zero(r)] * k
     if draw(st.booleans()):
@@ -87,11 +103,7 @@ def _operands(draw):
 @given(_operands())
 def test_mat_mul_matches_schoolbook(operands):
     a, b = operands
-    got = linalg.mat_mul(a, b)
-    want = _schoolbook(a, b)
-    assert [[(x.num, x.den) for x in row] for row in got] == [
-        [(x.num, x.den) for x in row] for row in want
-    ]
+    assert _bits(linalg.mat_mul(a, b)) == _bits(_schoolbook(a, b))
 
 
 @pytest.mark.parametrize("r", [2, 5, 12])
@@ -101,6 +113,105 @@ def test_mat_mul_worst_case_slots(r, signs):
     a = [[CycScalar(r, [signs[0] * c for c in big])] * 3] * 2
     b = [[CycScalar(r, [signs[1] * c for c in big])] * 2] * 3
     assert linalg.mat_mul(a, b) == _schoolbook(a, b)
+
+
+def _spy(monkeypatch, name):
+    """Record the positional arguments of each call of linalg.<name>."""
+    calls, original = [], getattr(linalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_mat_mul_slot_width_boundaries(width, offset, data):
+    """Coefficients at full magnitude with any signs, sized so the least slot
+    width is just under, at or just over a struct width."""
+    r, k = 3, 3  # phi = 4: the least width is bits_a + bits_b + bit_length(12) + 1
+    least = width + offset
+    bits_a = (least - 5) // 2
+    bits_b = least - 5 - bits_a
+    phi = euler_phi(4 * r)
+
+    def entry(bits):
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=phi, max_size=phi))
+        return CycScalar(r, [s * (2**bits - 1) for s in signs])
+
+    a = [[entry(bits_a) for _ in range(k)] for _ in range(2)]
+    b = [[entry(bits_b) for _ in range(2)] for _ in range(k)]
+    with pytest.MonkeyPatch.context() as mp:
+        codecs = _spy(mp, "_codec")
+        got = linalg.mat_mul(a, b)
+    assert [w for w, _ in codecs] == [width if offset <= 0 else 2 * width if width < 64 else least]
+    assert _bits(got) == _bits(_schoolbook(a, b))
+
+
+def test_fast_paths_are_taken(monkeypatch):
+    """A Gram product at r = 24 packs bytes in C, 200-bit operands take the
+    shift loop, and the abelian S-step F D F counts exponents."""
+    codecs = _spy(monkeypatch, "_codec")
+    r = 24
+    gram = rt_torus.hopf_gram(r)
+    word, _ = rt_torus.rho_word_exact([("T", 3), ("S", 1), ("T", -2)], r)
+    assert _bits(linalg.mat_mul(word, gram)) == _bits(_schoolbook(word, gram))
+    assert len(codecs) == 1 and codecs[0][0] in (8, 16, 32, 64)
+    big = [[CycScalar(5, [2**200 - 1] * euler_phi(20))] * 2] * 2
+    linalg.mat_mul(big, big)
+    assert len(codecs) == 2 and codecs[1][0] > 64
+    monkeypatch.setattr(linalg, "_packed_product", None)
+    N = 16
+    r = N // 2
+    f = [[t_power(r, 2 * j * k) for k in range(N)] for j in range(N)]
+    d = [[t_power(r, -3 * j * j) if i == j else CycScalar.zero(r) for j in range(N)] for i in range(N)]
+    fd = linalg.mat_mul(f, d)
+    assert _bits(linalg.mat_mul(fd, f)) == _bits(_schoolbook(fd, f))
+
+
+@st.composite
+def _scale_case(draw):
+    r = draw(st.integers(2, 12))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = [[draw(_scalar(r, draw(st.sampled_from((1, 8, 64, 200))))) for _ in range(m)] for _ in range(n)]
+    else:
+        a = [[draw(_root(r)) for _ in range(m)] for _ in range(n)]
+    c = draw(st.sampled_from(("int", "fraction", "0", "shared zero", "root", "general")))
+    c = {
+        "int": lambda: draw(st.integers(-(2**70), 2**70)),
+        "fraction": lambda: Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 50))),
+        "0": lambda: 0,
+        "shared zero": lambda: CycScalar.zero(r),
+        "root": lambda: t_power(r, draw(st.integers(0, 4 * r - 1))),
+        "general": lambda: draw(_scalar(r, draw(st.sampled_from((1, 8, 64, 200))))),
+    }[c]()
+    return c, a
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scale_case())
+def test_mat_scale_matches_entrywise(case):
+    c, a = case
+    assert _bits(linalg.mat_scale(c, a)) == _bits([[c * x for x in row] for row in a])
+
+
+def test_mat_scale_orders_and_other_entries():
+    c = t_power(5, 1) + 2
+    with pytest.raises(ValueError, match="mixed cyclotomic orders r=5 and r=6"):
+        linalg.mat_scale(c, [[t_power(5, 2), t_power(6, 1)]])
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        linalg.mat_scale(t_power(5, 1), [[t_power(6, 1)]])
+    assert linalg.mat_scale(c, [[1, Fraction(1, 2)], [t_power(5, 3), 0]]) == [
+        [c, c / 2], [c * t_power(5, 3), CycScalar.zero(5)]
+    ]
+    assert linalg.mat_scale(2, [[1, 2]]) == [[2, 4]]
+    assert linalg.mat_scale(c, []) == [] and linalg.mat_scale(c, [[]]) == [[]]
 
 
 def test_mat_mul_rejects_mixed_orders():
