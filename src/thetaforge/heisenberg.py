@@ -267,6 +267,8 @@ def matrix_to_heisenberg(mat, N: int) -> HeisAlgElt:
     """
     if len(mat) != N or any(len(row) != N for row in mat):
         raise ValueError("matrix size does not match N")
+    if any(type(x) is not CycScalar for row in mat for x in row):
+        raise TypeError("matrix_to_heisenberg needs CycScalar entries")
     r = _field_order(N)
     terms = {}
     for p in range(N):

@@ -1,22 +1,22 @@
 """Small exact linear algebra kernel.
 
 Matrices are lists (or tuples) of rows, a vector an n x 1 column.
-``mat_mul`` multiplies CycScalar entries by the first of three rules that
-applies: a monomial operand of roots of unity only permutes and
-exponent-shifts the other; two operands whose nonzero entries are all
-roots of unity count exponents; any other pair goes through
-Kronecker-packed exact dot products, packed and unpacked in C by
-``struct`` while a slot fits in 64 bits.  ``mat_scale`` by a CycScalar
-runs the same kernel on the column of entries times [[c]].  ``RowSpan``
-eliminates CycScalar vectors exactly; the other routines need entries that
-support +, -, *, == and truth testing.  Nothing ever rounds.
+``mat_mul`` multiplies CycScalar entries by the first of two rules that
+applies: when the nonzero entries of one operand are all roots of unity,
+each t^e of it is an exponent shift of the other operand's entries; any
+other pair goes through Kronecker-packed exact dot products.  Both rules
+pack into one format, packed and unpacked in C by ``struct`` while a slot
+fits in 64 bits.  ``mat_scale`` by a CycScalar runs the same kernel on the
+column of entries times [[c]].  ``RowSpan`` eliminates CycScalar vectors
+exactly; the other routines need entries that support +, -, *, == and
+truth testing.  Nothing ever rounds.
 """
 from __future__ import annotations
 
 import struct
 from bisect import insort
 from math import lcm
-from operator import lshift, mul, sub
+from operator import itemgetter, lshift, mul
 
 from .scalar import CycScalar, euler_phi
 
@@ -27,6 +27,11 @@ _STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 def _slot_ones(w, n):
     """sum(2**(w*e) for e < n): a one in each of n slots of w bits."""
     return ((1 << (w * n)) - 1) // ((1 << w) - 1)
+
+
+def _slot_width(least):
+    """The least slot width rounded up to the next struct width, or kept past 64 bits."""
+    return next((w for w in _STRUCT_CODES if w >= least), least)
 
 
 def _order(*mats):
@@ -48,67 +53,21 @@ def _order(*mats):
     return r
 
 
-def _root_exponents(lines, zero):
-    """Each line as the list of its entries' exponents e, entry == t^e, with
-    None for a zero entry; None when some entry is neither."""
+def _root_terms(lines, zero):
+    """Each line as the list of (s, e) for its nonzero entries, entry s ==
+    t^e with 0 <= e < 4r; None when some entry is neither zero nor a power of t."""
     out = []
     for line in lines:
-        exps = []
-        for x in line:
+        terms = []
+        for s, x in enumerate(line):
             if x is zero:
-                e = None
-            else:
-                e = x.root_exponent()
-                if e is None and x:
-                    return None
-            exps.append(e)
-        out.append(exps)
-    return out
-
-
-def _monomial(exps):
-    """[(s, e) | None, ...] when each exponent line has at most one entry,
-    t^e at index s (None for a zero line); otherwise None."""
-    out = []
-    for line in exps:
-        hits = [(s, e) for s, e in enumerate(line) if e is not None]
-        if len(hits) > 1:
-            return None
-        out.append(hits[0] if hits else None)
-    return out
-
-
-def _root_product(exps_a, exps_b, r):
-    """Rule 2 of mat_mul from the exponents of a's rows and b's columns.
-
-    An entry t^e of a packs as 2**(w*e) and a zero as 0; an entry t^f of
-    b shifts it left by w*f bits, and a zero by 8r slots.  So one dot
-    product counts its exponent sums e + f <= 8r - 2 in slots below 8r,
-    each count at most k < 2**w, and the products with a zero of b land
-    in the slots from 8r on, which are dropped.  Adding the slots from 4r
-    on to the ones below (t^(4r) = 1) leaves each count at most k; the
-    slots 2r .. 4r - 1 then subtract from 0 .. 2r - 1 (t^(2r) = -1), and
-    CycScalar reduces modulo Phi_{4r}.
-    """
-    k = len(exps_b[0])
-    w = next(w for w in _STRUCT_CODES if k < 1 << w)
-    n = 2 * r
-    counts = struct.Struct(f"<{2 * n}{_STRUCT_CODES[w].upper()}").unpack
-    size, kept, low = w // 4 * n, (1 << (4 * w * n)) - 1, (1 << (2 * w * n)) - 1
-    cols = [[w * (4 * n if e is None else e) for e in col] for col in exps_b]
-    zero = CycScalar.zero(r)
-    out = []
-    for exps in exps_a:
-        row = [0 if e is None else 1 << (w * e) for e in exps]
-        out_row = []
-        for col in cols:
-            acc = sum(map(lshift, row, col)) & kept
-            if not acc:
-                out_row.append(zero)
                 continue
-            c = counts(((acc & low) + (acc >> (2 * w * n))).to_bytes(size, "little"))
-            out_row.append(CycScalar(r, list(map(sub, c[:n], c[n:]))))
-        out.append(out_row)
+            e = x.root_exponent()
+            if e is not None:
+                terms.append((s, e))
+            elif x:
+                return None
+        out.append(terms)
     return out
 
 
@@ -145,22 +104,21 @@ def _codec(w, r):
 
     pack(num, scale) is scale * sum(num[e] * 2**(w*e)) for phi signed
     coefficients below 2**(w-1) in absolute value.  unpack(acc) takes a
-    sum acc = sum(c[e] * 2**(w*e)), e < 2*phi - 1, of products of such
-    integers and gives the coefficients of sum(c[e] * x**e) modulo
-    x**(2r) + 1, which Phi_{4r} divides: n = min(2*phi - 1, 2r) signed
-    slots, each below 2**(w-1) in absolute value.
+    sum acc = sum(c[e] * 2**(w*e)), e < 4r, with every c[e] and every
+    c[e] - c[e + 2r] below 2**(w-1) in absolute value, and gives the
+    coefficients of sum(c[e] * x**e) modulo x**(2r) + 1, which Phi_{4r}
+    divides: 2r signed slots.
     """
     phi = euler_phi(4 * r)
-    slots = 2 * phi - 1
-    n = min(slots, 2 * r)
+    n = 2 * r
     half = 1 << (w - 1)
-    bias, high_bias = half * _slot_ones(w, slots), half * _slot_ones(w, slots - n)
+    signs = half * _slot_ones(w, n)
     low = (1 << (w * n)) - 1
 
     def fold(acc):
-        """Slot e < n of the result holds c[e] - c[e + 2r] + 2**(w-1)."""
-        u = acc + bias
-        return (u & low) - (u >> (w * n)) + high_bias
+        """Slot e < 2r of the result holds c[e] - c[e + 2r] + 2**(w-1)."""
+        u = acc + signs
+        return (u & low) - (u >> (w * n))
 
     code = _STRUCT_CODES.get(w)
     if code is None:
@@ -180,7 +138,7 @@ def _codec(w, r):
         return pack, unpack
     to_bytes = struct.Struct(f"<{phi}{code}").pack
     from_bytes = struct.Struct(f"<{n}{code}").unpack
-    top, signs = half * _slot_ones(w, phi), half * _slot_ones(w, n)
+    top = half * _slot_ones(w, phi)
     size = w // 8 * n
 
     def pack(num, scale):
@@ -193,23 +151,64 @@ def _codec(w, r):
     return pack, unpack
 
 
+def _pack_all(pack, prepped):
+    """[(den, packed entries), ...] from the _pack_prep form of vectors."""
+    return [(den, [0 if x is None else pack(*x) for x in entries]) for den, entries in prepped]
+
+
+def _shift_product(lines, vectors, roots, r):
+    """Rule 1 of mat_mul: entry (i, j) is sum(t^e * vectors[j][s]) over the
+    terms (s, e) of lines[i]; roots holds the vectors' _root_terms, or None."""
+    zero = CycScalar.zero(r)
+    n, k = 2 * r, len(vectors[0])
+    packed = None
+    out = []
+    for terms in lines:
+        if not terms:
+            out.append([zero] * len(vectors))
+            continue
+        if len(terms) == 1:
+            ((s, e),) = terms
+            out.append([v[s].times_root(e) for v in vectors])
+            continue
+        if packed is None:
+            if roots is None:
+                prepped, bits = _pack_prep(vectors)
+                w = _slot_width(bits + k.bit_length() + 1)
+                pack, unpack = _codec(w, r)
+                packed = _pack_all(pack, prepped)
+            else:  # t^f packs as +-2**(w * (f mod 2r)): bits = 1
+                w = _slot_width(k.bit_length() + 2)
+                unpack = _codec(w, r)[1]
+                packed = [(1, [0] * k) for _ in roots]
+                for (_, vec), vec_terms in zip(packed, roots):
+                    for s, f in vec_terms:
+                        vec[s] = -(1 << w * (f - n)) if f >= n else 1 << w * f
+            # entry s + k of a vector is -(entry s), for a term t^e with e >= 2r
+            packed = [(den, vec + [-x for x in vec]) for den, vec in packed]
+        pick = itemgetter(*[s + k if e >= n else s for s, e in terms])
+        shifts = [w * (e % n) for _, e in terms]
+        row = []
+        for den, vec in packed:
+            acc = sum(map(lshift, pick(vec), shifts))
+            row.append(CycScalar(r, unpack(acc), den) if acc else zero)
+        out.append(row)
+    return out
+
+
 def _packed_product(a, columns, r):
-    """Rule 3 of mat_mul: Kronecker-packed dot products of a's rows and columns."""
+    """Rule 2 of mat_mul: Kronecker-packed dot products of a's rows and columns."""
     phi = euler_phi(4 * r)
     rows, bits_a = _pack_prep(a)
     cols, bits_b = _pack_prep(columns)
-    w = bits_a + bits_b + (len(columns[0]) * phi).bit_length() + 1
-    w = next((s for s in _STRUCT_CODES if s >= w), w)
+    w = _slot_width(bits_a + bits_b + (len(columns[0]) * phi).bit_length() + 1)
     pack, unpack = _codec(w, r)
-    packed_cols = [
-        (den, [0 if x is None else pack(*x) for x in entries]) for den, entries in cols
-    ]
+    cols = _pack_all(pack, cols)
     zero = CycScalar.zero(r)
     out = []
-    for row_den, entries in rows:
-        packed = [0 if x is None else pack(*x) for x in entries]
+    for row_den, packed in _pack_all(pack, rows):
         row = []
-        for col_den, col in packed_cols:
+        for col_den, col in cols:
             acc = sum(map(mul, packed, col))
             row.append(CycScalar(r, unpack(acc), row_den * col_den) if acc else zero)
         out.append(row)
@@ -219,69 +218,61 @@ def _packed_product(a, columns, r):
 def _product(a, b, r):
     """mat_mul of validated operands of order r."""
     zero = CycScalar.zero(r)
-    m = len(b[0])
-    exps_a = _root_exponents(a, zero)
-    left = None if exps_a is None else _monomial(exps_a)
-    if left is not None:
-        return [
-            [zero] * m if hit is None else [x.times_root(hit[1]) for x in b[hit[0]]] for hit in left
-        ]
     columns = list(zip(*b))
-    exps_b = _root_exponents(columns, zero)
-    right = None if exps_b is None else _monomial(exps_b)
-    if right is not None:
-        return [
-            [zero if hit is None else row[hit[0]].times_root(hit[1]) for hit in right] for row in a
-        ]
-    if exps_a is not None and exps_b is not None:
-        return _root_product(exps_a, exps_b, r)
+    roots_a = _root_terms(a, zero)
+    roots_b = _root_terms(columns, zero)
+    if roots_a is not None and (roots_b is None or sum(map(len, roots_a)) <= sum(map(len, roots_b))):
+        return _shift_product(roots_a, columns, roots_b, r)
+    if roots_b is not None:
+        return [list(row) for row in zip(*_shift_product(roots_b, a, roots_a, r))]
     return _packed_product(a, columns, r)
 
 
 def mat_mul(a, b):
     """Exact product of an n x k and a k x m matrix of CycScalar entries.
 
-    The first of three rules that applies forms the product, each giving
+    The first of two rules that applies forms the product, each giving
     the value of the schoolbook sum of CycScalar products:
 
-    1. Monomial.  When each row of a has at most one nonzero entry and
-       each such entry is a root of unity t^e, row i of the product is
-       row s of b times t^e, for the nonzero a[i][s], each entry by an
-       exponent shift (CycScalar.times_root, which shares the entry when
-       e = 0), and a zero row of a gives a zero row.  Otherwise the same
-       rule is tried on the columns of b.  This covers the identity,
-       diagonal twists and the Heisenberg monomials.
-    2. Roots.  When every nonzero entry of a and of b is a root of unity,
-       entry (i, j) is sum_s t^(e_is + f_sj): its exponents are counted
-       modulo 4r, folded by t^(2r) = -1 and reduced once modulo Phi_{4r}.
-       This is the abelian S-step F D F.
-    3. Packed.  Each row of a and each column of b is brought to one
+    1. Shift.  When the nonzero entries of a, or of b, are all roots of
+       unity, its rows (or columns) are the lines and the other operand's
+       columns (or rows) the vectors; if both qualify, the one with fewer
+       nonzero entries gives the lines, a on a tie.  A line with one term
+       t^e shifts each vector entry by CycScalar.times_root, so the
+       identity, diagonal twists and the Heisenberg monomials cost one
+       shift per entry.  A line with more terms sums a vector's packed
+       entries, each shifted left by w * (e mod 2r) bits and negated when
+       e mod 4r >= 2r, as t^e = -t^(e mod 2r) then.  A vector of roots
+       packs t^f as +-2**(w * (f mod 2r)), any other as in rule 2.  An
+       entry spans at most 2r slots, so each term adds at most one
+       coefficient to a slot, before the fold and after it: w0 = bits +
+       bit_length(k) + 1, where bits = 1 for roots and as in rule 2
+       otherwise.  This is the abelian S-step F D F.
+    2. Packed.  Each row of a and each column of b is brought to one
        common denominator, and every entry's integer coefficient vector c
        is packed into the single integer sum(c[e] * 2**(w*e)) (Kronecker
-       substitution).  One product entry is then k integer multiply-adds,
-       a fold of its 2*phi - 1 slots by t^(2r) = -1, one signed unpack of
-       the at most 2r slots left, one reduction modulo Phi_{4r} and one
-       normalisation, where phi = euler_phi(4r).
+       substitution).  One product entry is then k integer multiply-adds.
+       A slot holds sum_s sum_{i+j=e} a_s[i] * b_s[j], at most k * phi
+       terms with phi = euler_phi(4r), so its absolute value is below
+       k * phi * 2**bits_a * 2**bits_b when every packed coefficient of a
+       (of b) is below 2**bits_a (2**bits_b).  The fold keeps that bound:
+       as phi <= 2r, for each s and i at most one j < phi has i + j = e
+       mod 2r.  So w0 = bits_a + bits_b + bit_length(k * phi) + 1.
 
-    Packing is exact because no slot overflows.  A slot of the packed dot
-    product holds sum_s sum_{i+j=e} a_s[i] * b_s[j], at most k * phi
-    terms, so its absolute value is below k * phi * 2**bits_a * 2**bits_b
-    when every packed coefficient of a (of b) is below 2**bits_a
-    (2**bits_b).  The fold keeps that bound: as phi <= 2r, for each s and
-    i at most one j < phi has i + j = e mod 2r.  The least width w0 =
-    bits_a + bits_b + bit_length(k * phi) + 1 keeps every slot below
-    2**(w0-1), which leaves room for the sign.  w0 is rounded up to the
-    next of 8, 16, 32 and 64 bits, or kept past 64; a wider slot only adds
-    headroom, so every packed coefficient and every slot, before and after
-    the fold, is a signed w-bit integer.  Up to 64 bits, struct writes the
-    coefficients as w-bit two's complement, read as one unsigned integer
-    u: a negative slot reads 2**w too high and has its top bit set, so
-    u - ((u & top) << 1), top holding the top bit of each slot, is the
-    signed packing.  To unpack, adding bias = 2**(w-1) in every slot makes
-    each slot nonnegative and below 2**w, before and after the fold, so no
-    carry crosses a slot; XOR with bias then leaves each slot's two's
-    complement, which struct reads back signed.  Past 64 bits a shift loop
-    packs and unpacks.  Zero entries pack to 0.
+    Either sum is folded by t^(2r) = -1 to 2r slots, unpacked signed,
+    reduced once modulo Phi_{4r} and normalised.  Packing is exact because
+    no slot overflows: w0 keeps every slot below 2**(w0-1), before and
+    after the fold, which leaves room for the sign.  w0 is rounded up to
+    the next of 8, 16, 32 and 64 bits, or kept past 64; a wider slot only
+    adds headroom.  Up to 64 bits, struct writes the coefficients as w-bit
+    two's complement, read as one unsigned integer u: a negative slot
+    reads 2**w too high and has its top bit set, so u - ((u & top) << 1),
+    top holding the top bit of each slot, is the signed packing.  To
+    unpack, adding bias = 2**(w-1) in each of the low 2r slots makes them
+    nonnegative and below 2**w, so they split from the rest, which then
+    subtracts with no carry out of a slot; XOR with bias leaves each
+    slot's two's complement, which struct reads back signed.  Past 64
+    bits a shift loop packs and unpacks.  Zero entries pack to 0.
 
     Both operands are validated before any rule: TypeError for an entry
     that is not a CycScalar, ValueError for mixed cyclotomic orders or

@@ -113,6 +113,11 @@ def project_solid_torus(s: TorusSkein):
     return tuple(row[0] for row in rt_rep_matrix(s, s.base))
 
 
+def _check_order(r):
+    if not isinstance(r, int) or r < 2:
+        raise ValueError("representation needs an integer r >= 2")
+
+
 def rt_rep_matrix(s, r: int):
     """Matrix of left multiplication on the solid-torus module.
 
@@ -122,8 +127,7 @@ def rt_rep_matrix(s, r: int):
     t_power instances in the matrix.
     """
     if isinstance(s, tuple):
-        if not isinstance(r, int) or r < 2:
-            raise ValueError("representation needs an integer r >= 2")
+        _check_order(r)
         terms = ((canonical_curve(*s), CycScalar.one(r)),)
     elif s.base == GENERIC or s.base != r:
         raise ValueError("representation needs matching reduced mode")
@@ -200,8 +204,10 @@ def rho_word_exact(word, r: int):
 
     The last product is kept: a second call on the same word and r, as
     rho_kac_peterson makes for its reference after a caller's own product,
-    multiplies nothing.  The matrix returned has fresh rows.
+    multiplies nothing.  The matrix returned has fresh rows.  ValueError
+    for an r that is not an integer >= 2.
     """
+    _check_order(r)
     mat, s_count = _rho_word_product(check_word(word), r)
     return [list(row) for row in mat], s_count
 

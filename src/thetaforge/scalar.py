@@ -526,7 +526,9 @@ def qint(n: int, r: int) -> CycScalar:
 
 
 def qint_factorial(n: int, r: int) -> CycScalar:
-    """[n]! = [1][2]...[n], with [0]! = 1."""
+    """[n]! = [1][2]...[n], with [0]! = 1; ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("qint_factorial needs n >= 0")
     acc = CycScalar.one(r)
     for i in range(1, n + 1):
         acc = acc * qint(i, r)
@@ -550,6 +552,8 @@ def gauss_sum(j: int, r: int) -> CycScalar:
 @functools.lru_cache(maxsize=None)
 def eta_inverse_square(r: int) -> CycScalar:
     """sum_j [j]^2, the exact inverse square of the S-matrix normalization."""
+    if r < 2:
+        raise ValueError("eta_inverse_square needs r >= 2")
     acc = CycScalar.zero(r)
     for j in range(1, r):
         acc = acc + qint(j, r) * qint(j, r)

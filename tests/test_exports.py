@@ -62,6 +62,11 @@ def test_quantum_group_leaves_rt_torus_unloaded():
     assert _fresh_interpreter_exit_code(code) == 0
 
 
+def _syntax_tree(module):
+    with open(module.__file__, encoding="utf-8") as f:
+        return ast.parse(f.read())
+
+
 @pytest.mark.parametrize(
     "module",
     [m for m in MODULES if m.__name__ != "thetaforge.scalar"],
@@ -71,15 +76,29 @@ def test_exact_modules_do_not_import_mpmath(module):
     # every module but scalar computes in exact arithmetic only; floats
     # enter through scalar's embedding, and embed_matrix forms every
     # numeric normalisation
-    with open(module.__file__, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_syntax_tree(module)):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             imported.add(node.module)
     assert not {m for m in imported if m.split(".")[0] == "mpmath"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rpartition(".")[2])
+def test_modules_use_every_imported_name(module):
+    # no linter runs on this code: an import that a deleted code path left
+    # behind is caught here, by name, as a linter's unused-import rule would
+    tree = _syntax_tree(module)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(getattr(module, "__all__", ()))
+    assert imported <= used, sorted(imported - used)
 
 
 def _public_functions(module):

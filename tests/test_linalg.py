@@ -38,9 +38,9 @@ def _monomial(draw, r, rows, cols):
 
     Kinds: the identity and a permutation times root powers (square
     only), rows that are zero or hold one root power in any column (so
-    columns may be zero too), and two near misses that must take the
-    packed path: one nonzero made 2 t^e, no root of unity, or one row
-    given a second root power.
+    columns may be zero too), and two near misses of one shift per
+    entry: one nonzero made 2 t^e, no root of unity, or one row given a
+    second root power, a line of two terms.
     """
     zero = CycScalar.zero(r)
     out = [[zero] * cols for _ in range(rows)]
@@ -81,15 +81,23 @@ def _operands(draw):
     bits = draw(st.sampled_from((1, 8, 64, 200)))
     a = [[draw(_scalar(r, bits)) for _ in range(k)] for _ in range(n)]
     b = [[draw(_scalar(r, bits)) for _ in range(m)] for _ in range(k)]
-    kind = draw(st.sampled_from(("neither", "left", "right", "both", "roots")))
+    kinds = ("neither", "left", "right", "both", "roots", "roots-left", "roots-right")
+    kind = draw(st.sampled_from(kinds))
     if kind in ("left", "both"):
         a = draw(_monomial(r, n, k))
     if kind in ("right", "both"):  # at most one nonzero per column
         b = [list(col) for col in zip(*draw(_monomial(r, m, k)))]
-    if kind == "roots":  # dense roots of unity with zeros: the exponent-counting rule
+    if kind == "roots":  # dense roots of unity with zeros on both sides: packed from exponents
         n, k, m = (draw(st.integers(1, 8)) for _ in range(3))
         a = [[draw(_root(r)) for _ in range(k)] for _ in range(n)]
         b = [[draw(_root(r)) for _ in range(m)] for _ in range(k)]
+    if kind in ("roots-left", "roots-right"):
+        # dense roots against 200-bit entries over denominators: lines of
+        # several terms shift entries packed past 64-bit slots
+        n, k, m = draw(st.integers(1, 5)), draw(st.integers(2, 6)), draw(st.integers(1, 5))
+        left = kind == "roots-left"
+        a = [[draw(_root(r) if left else _scalar(r, 200)) for _ in range(k)] for _ in range(n)]
+        b = [[draw(_scalar(r, 200) if left else _root(r)) for _ in range(m)] for _ in range(k)]
     if draw(st.booleans()):
         a[draw(st.integers(0, n - 1))] = [CycScalar.zero(r)] * k
     if draw(st.booleans()):
@@ -154,8 +162,10 @@ def test_mat_mul_slot_width_boundaries(width, offset, data):
 
 
 def test_fast_paths_are_taken(monkeypatch):
-    """A Gram product at r = 24 packs bytes in C, 200-bit operands take the
-    shift loop, and the abelian S-step F D F counts exponents."""
+    """A Gram product at r = 24 packs bytes in C and 200-bit operands take
+    the shift loop.  The abelian S-step F D F and a general matrix times F
+    shift packed entries, and F D and I F, whose lines have one term each,
+    only shift entries: no codec."""
     codecs = _spy(monkeypatch, "_codec")
     r = 24
     gram = rt_torus.hopf_gram(r)
@@ -171,7 +181,12 @@ def test_fast_paths_are_taken(monkeypatch):
     f = [[t_power(r, 2 * j * k) for k in range(N)] for j in range(N)]
     d = [[t_power(r, -3 * j * j) if i == j else CycScalar.zero(r) for j in range(N)] for i in range(N)]
     fd = linalg.mat_mul(f, d)
-    assert _bits(linalg.mat_mul(fd, f)) == _bits(_schoolbook(fd, f))
+    assert _bits(linalg.mat_mul(linalg.mat_identity(N, CycScalar.one(r)), f)) == _bits(f)
+    assert len(codecs) == 2
+    fdf = linalg.mat_mul(fd, f)
+    assert _bits(fdf) == _bits(_schoolbook(fd, f))
+    fdfd = linalg.mat_mul(fdf, d)
+    assert _bits(linalg.mat_mul(fdfd, f)) == _bits(_schoolbook(fdfd, f))
 
 
 @st.composite

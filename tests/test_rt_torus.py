@@ -535,9 +535,9 @@ def test_kept_word_product_equals_a_cold_one():
             rt_torus._rho_word_product.cache_clear()
             cold, s_cold = rho_word_exact(word, r)
             assert s_warm == s_cold and _parts(warm) == _parts(cold), (word, r)
-    # the product kept for r = 5 does not answer r = 5.0, which fails cold
+    # the product kept for r = 5 does not answer r = 5.0, which is refused
     rho_word_exact([("S", 1)], 5)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="integer r >= 2"):
         rho_word_exact([("S", 1)], 5.0)
 
 

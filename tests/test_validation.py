@@ -5,7 +5,9 @@ import pytest
 
 from thetaforge import heisenberg as hz
 from thetaforge import linalg, pillowcase, quantum_group as qg, rt_torus as rt
-from thetaforge.scalar import CycScalar, cyclotomic_poly, gauss_sum, index_fold, qint
+from thetaforge.scalar import (
+    CycScalar, cyclotomic_poly, eta_inverse_square, gauss_sum, index_fold, qint, qint_factorial,
+)
 from thetaforge.sl2z import SL2Z, word_matrix
 
 
@@ -27,6 +29,8 @@ CASES = [
     ("qint_r1", lambda: qint(1, 1), ValueError, "r >= 2"),
     ("gauss_sum_r1", lambda: gauss_sum(1, 1), ValueError, "r >= 2"),
     ("index_fold_r1", lambda: index_fold(1, 1), ValueError, "r must be >= 2"),
+    ("eta_inverse_square_r1", lambda: eta_inverse_square(1), ValueError, "r >= 2"),
+    ("qint_factorial_negative", lambda: qint_factorial(-1, 5), ValueError, "n >= 0"),
     # linalg
     ("mat_mul_empty", lambda: linalg.mat_mul([], [[CycScalar.one(3)]]), ValueError, "non-empty"),
     # sl2z
@@ -46,6 +50,11 @@ CASES = [
     ("rho_word_letter", lambda: rt.rho_word_exact([("X", 1)], 3), ValueError, "unknown generator"),
     ("rho_word_s_exponent", lambda: rt.rho_word_exact([("S", 1.5)], 3), TypeError, "exponent of 'S'"),
     ("rho_word_t_exponent", lambda: rt.rho_word_exact([("T", 1.5)], 3), TypeError, "exponent of 'T'"),
+    ("rho_word_exact_r1", lambda: rt.rho_word_exact([("T", 1)], 1), ValueError, "r >= 2"),
+    ("rho_word_exact_empty_r1", lambda: rt.rho_word_exact([], 1), ValueError, "r >= 2"),
+    ("rho_word_r1", lambda: rt.rho_word([("S", 1)], 1), ValueError, "r >= 2"),
+    ("rho_kac_peterson_r1", lambda: rt.rho_kac_peterson(SL2Z(1, 1, 0, 1), 1), ValueError, "r >= 2"),
+    ("f_of_twist_solve_r1", lambda: rt.f_of_twist_solve(1), ValueError, "r >= 2"),
     # pillowcase
     ("weyl_cos_r1", lambda: pillowcase.weyl_cos_matrix((1, 0), 1), ValueError, "r must be >= 2"),
     ("wilson_decompose_dimension", lambda: pillowcase.wilson_decompose(1, 0, -1), ValueError, "dimension"),
@@ -56,6 +65,7 @@ CASES = [
     ("heis_alg_coefficient_order", lambda: hz.HeisAlgElt(4, {(1, 0): CycScalar.one(5)}), ValueError, "mixed cyclotomic"),
     ("algebra_rep_coefficient_order", lambda: hz.algebra_rep(hz.HeisAlgElt(4, {(1, 0): CycScalar.one(5)})), ValueError, "mixed cyclotomic"),
     ("matrix_to_heisenberg_size", lambda: hz.matrix_to_heisenberg([[CycScalar.one(1)]], 2), ValueError, "size"),
+    ("matrix_to_heisenberg_entries", lambda: hz.matrix_to_heisenberg([[1, 0], [0, 1]], 2), TypeError, "CycScalar entries"),
     ("f_of_t_skein_odd_n", lambda: hz.f_of_t_skein(3), ValueError, "even"),
     ("lagrangian_zero", lambda: hz.LagrangianLine.of(0, 0), ValueError, "nonzero direction"),
     ("fourier_letter", lambda: hz.fourier_word_exact([("X", 1)], 4), ValueError, "unknown generator"),
