@@ -18,7 +18,7 @@ from bisect import insort
 from math import lcm
 from operator import itemgetter, lshift, mul
 
-from .scalar import CycScalar, euler_phi
+from .scalar import _SHARED_ROOT_EXPONENT, CycScalar, euler_phi
 
 # slot width in bits -> struct code of a signed integer of that width
 _STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
@@ -55,18 +55,25 @@ def _order(*mats):
 
 def _root_terms(lines, zero):
     """Each line as the list of (s, e) for its nonzero entries, entry s ==
-    t^e with 0 <= e < 4r; None when some entry is neither zero nor a power of t."""
+    t^e with 0 <= e < 4r; None when some entry is neither zero nor a power of t.
+
+    A shared t^e is found by its identity, any other entry by root_exponent.
+    """
+    shared = _SHARED_ROOT_EXPONENT
     out = []
     for line in lines:
         terms = []
         for s, x in enumerate(line):
             if x is zero:
                 continue
-            e = x.root_exponent()
-            if e is not None:
-                terms.append((s, e))
-            elif x:
-                return None
+            e = shared.get(id(x))
+            if e is None:
+                e = x.root_exponent()
+                if e is None:
+                    if x:
+                        return None
+                    continue
+            terms.append((s, e))
         out.append(terms)
     return out
 

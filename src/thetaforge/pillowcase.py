@@ -17,11 +17,12 @@ a matrix-unit certificate, with no rank computation.
 """
 from __future__ import annotations
 
+import functools
 from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .scalar import CycScalar, t_power
+from .scalar import CycScalar, t_powers
 
 
 class CosObservable(NamedTuple):
@@ -41,6 +42,21 @@ def zeta_fold(j: int, r: int):
     return -1, 2 * r - m
 
 
+@functools.lru_cache(maxsize=None)
+def _zeta_table(r: int):
+    """zeta_fold of every j in [0, 3r) as (row, shift): zeta_j = t^shift
+    zeta_(row+1), a fold sign -1 being the factor t^{2r}; None where zeta_j = 0.
+
+    zeta_j has period 2r in j, so a residue below 2r plus a column below r
+    indexes the table with no further reduction.
+    """
+    out = []
+    for j in range(3 * r):
+        sign, idx = zeta_fold(j, r)
+        out.append((idx - 1, 0 if sign > 0 else 2 * r) if sign else None)
+    return tuple(out)
+
+
 def weyl_cos_matrix(obs, r: int):
     """Matrix of Op(2cos 2pi(px+qy)) on the zeta basis."""
     if r < 2:
@@ -48,15 +64,25 @@ def weyl_cos_matrix(obs, r: int):
     p, q = obs
     n = r - 1
     zero = CycScalar.zero(r)
+    roots, table = t_powers(r), _zeta_table(r)
+    period = 4 * r
     mat = [[zero] * n for _ in range(n)]
-    for j in range(1, r):
-        for target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
-            sign, idx = zeta_fold(target, r)
-            if sign:
-                # a fold sign of -1 is the factor t^{2r}
-                exponent = phase - p * q if sign > 0 else phase - p * q + 2 * r
-                entry, term = mat[idx - 1][j - 1], t_power(r, exponent)
-                mat[idx - 1][j - 1] = term if entry is zero else entry + term
+    pq = p * q
+    left, right = (1 - p) % (2 * r), (1 + p) % (2 * r)
+    for col in range(n):
+        phase = 2 * q * (col + 1)
+        hit = table[left + col]  # zeta_{j-p}
+        if hit is not None:
+            row, shift = hit
+            term = roots[(phase - pq + shift) % period]
+            entry = mat[row][col]
+            mat[row][col] = term if entry is zero else entry + term
+        hit = table[right + col]  # zeta_{j+p}
+        if hit is not None:
+            row, shift = hit
+            term = roots[(shift - phase - pq) % period]
+            entry = mat[row][col]
+            mat[row][col] = term if entry is zero else entry + term
     return mat
 
 

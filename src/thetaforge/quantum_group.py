@@ -289,16 +289,29 @@ def caterpillar_graph(genus: int):
 
 def admissible_colorings(graph: TrivalentGraph, r: int):
     """(count, colorings), each a tuple of edge colors in graph.edges order, by
-    exhaustive backtracking that checks a vertex once its last edge is colored."""
+    exhaustive backtracking that checks a vertex once its last edge is colored.
+
+    An edge that completes a vertex whose two other edges are already
+    colored tries only their fusion range, which is exactly the colors that
+    pass that vertex's check; any other vertex it completes is checked.
+    """
     if r < 2:
         raise ValueError("r must be >= 2")
     n_edges = len(graph.edges)
     checks_after = [[] for _ in range(n_edges)]
     for slots in _incidence(graph).values():
         checks_after[slots[-1]].append(slots)
+    # per edge: the (a, b) whose fusion range gives its colors, or None for
+    # all colors, and the vertex checks left
+    plan = []
+    for i, checks in enumerate(checks_after):
+        source = next((slots for slots in checks if slots[1] < i), None)
+        rest = [slots for slots in checks if slots is not source]
+        plan.append((None if source is None else tuple(source[:2]), rest))
     # the fusion rule of each color pair, built once: membership in a range
     # is cheaper than a call per vertex check
     allowed = {(m, n): clebsch_gordan_range(m, n, r) for m in range(1, r) for n in range(1, r)}
+    every = range(1, r)
     colors = [0] * n_edges
     colorings = []
 
@@ -306,9 +319,10 @@ def admissible_colorings(graph: TrivalentGraph, r: int):
         if i == n_edges:
             colorings.append(tuple(colors))
             return
-        for color in range(1, r):
+        source, checks = plan[i]
+        for color in allowed[colors[source[0]], colors[source[1]]] if source else every:
             colors[i] = color
-            for a, b, c in checks_after[i]:
+            for a, b, c in checks:
                 if colors[c] not in allowed[colors[a], colors[b]]:
                     break
             else:

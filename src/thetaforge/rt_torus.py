@@ -39,6 +39,7 @@ from .scalar import (
     index_fold,
     qint,
     t_power,
+    t_powers,
 )
 from .sl2z import SL2Z, check_word, sl2z_decompose
 
@@ -118,13 +119,28 @@ def _check_order(r):
         raise ValueError("representation needs an integer r >= 2")
 
 
+@functools.lru_cache(maxsize=None)
+def _fold_table(r: int):
+    """index_fold of every m in [0, 3r) as (row, shift): V^m = t^shift V^(row+1),
+    the fold sign -1 being the factor t^{2r}; None where V^m = 0.
+
+    The fold has period 2r, so a residue below 2r plus a column below r
+    indexes the table with no further reduction.
+    """
+    out = []
+    for m in range(3 * r):
+        sign, idx = index_fold(m, r)
+        out.append((idx - 1, 0 if sign > 0 else 2 * r) if sign else None)
+    return tuple(out)
+
+
 def rt_rep_matrix(s, r: int):
     """Matrix of left multiplication on the solid-torus module.
 
     Accepts a TorusSkein or a bare (p, q) pair, the basis curve (p,q)_T.
     Column j (for V^j) of a basis curve is t^{-pq} (t^{2qj} V^{j-p} +
-    t^{-2qj} V^{j+p}), folded.  A unit coefficient puts the shared
-    t_power instances in the matrix.
+    t^{-2qj} V^{j+p}), folded by _fold_table.  A unit coefficient puts the
+    shared t_powers instances in the matrix, any other c its times_root.
     """
     if isinstance(s, tuple):
         _check_order(r)
@@ -135,20 +151,30 @@ def rt_rep_matrix(s, r: int):
         terms = s.terms.items()
     n = r - 1
     zero, one = CycScalar.zero(r), CycScalar.one(r)
+    roots, fold = t_powers(r), _fold_table(r)
+    period = 4 * r
     mat = [[zero] * n for _ in range(n)]
     for (p, q), c in terms:
         c = CycScalar.coerce(c, r)
         unit = c == one
-        for j in range(1, r):
-            col = j - 1
-            for n_target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
-                sign, idx = index_fold(n_target, r)
-                if sign:
-                    # t^{2r} = -1 carries a fold sign of -1
-                    e = phase - p * q if sign > 0 else phase - p * q + 2 * r
-                    term = t_power(r, e) if unit else c.times_root(e)
-                    entry = mat[idx - 1][col]
-                    mat[idx - 1][col] = term if entry is zero else entry + term
+        pq = p * q
+        down, up = (1 - p) % (2 * r), (1 + p) % (2 * r)
+        for col in range(n):
+            phase = 2 * q * (col + 1)
+            target = fold[down + col]  # V^{j-p}
+            if target is not None:
+                row, shift = target
+                e = phase - pq + shift
+                term = roots[e % period] if unit else c.times_root(e)
+                entry = mat[row][col]
+                mat[row][col] = term if entry is zero else entry + term
+            target = fold[up + col]  # V^{j+p}
+            if target is not None:
+                row, shift = target
+                e = shift - phase - pq
+                term = roots[e % period] if unit else c.times_root(e)
+                entry = mat[row][col]
+                mat[row][col] = term if entry is zero else entry + term
     return mat
 
 
@@ -276,32 +302,60 @@ class KacPeterson(NamedTuple):
     window: str  # "integer" or "half-integer" summation lattice
 
 
-def _kp_sum(a, b, c, d, r, start):
-    """sum over k of t^{cdk^2 + 2bckj + abj^2} zeta_{aj+ck}, folded.
+def _kp_terms(a, b, c, d, r, start):
+    """{(row, col): [e, ...]}: entry (row, col) of _kp_sum is the sum of t^e over its list.
 
-    One loop over K = 2k in [start, 4r) in steps of 2: start 0 for the
-    integer window (k over the residues mod 2r), start 1 for the
-    half-integer window k in Z + 1/2, which the caller takes only for
-    even c.  The exponent is floor(cdK^2/4) + bcKj + abj^2: on the
+    The terms are t^{cdk^2 + 2bckj + abj^2} zeta_{aj+ck}, j = col + 1,
+    folded by _fold_table, over K = 2k in [start, 4r) in steps of 2:
+    start 0 for the integer window (k over the residues mod 2r), start 1
+    for the half-integer window k in Z + 1/2, which the caller takes only
+    for even c.  The exponent is floor(cdK^2/4) + bcKj + abj^2: on the
     half-integer window the floor drops a uniform t^{1/2}, absorbed by the
     overall constant.  For c = 0 every k gives the same term, so one K
-    stands for the sum (1/2r of it, the same ray).
+    stands for the sum (1/2r of it, the same ray).  Each e is in [0, 4r).
     """
     stop = 4 * r if c else start + 1
-    n = r - 1
-    zero = CycScalar.zero(r)
-    mat = [[zero] * n for _ in range(n)]
-    for j in range(1, r):
+    period = 4 * r
+    fold = _fold_table(r)
+    terms = {}
+    for col in range(r - 1):
+        j = col + 1
         for K in range(start, stop, 2):
-            sign, idx = index_fold(a * j + c * K // 2, r)
-            if not sign:
-                continue
-            # t^{2r} = -1 carries a fold sign of -1
-            e = c * d * K * K // 4 + b * c * K * j + a * b * j * j
-            term = t_power(r, e if sign > 0 else e + 2 * r)
-            entry = mat[idx - 1][j - 1]
-            mat[idx - 1][j - 1] = term if entry is zero else entry + term
+            target = fold[(a * j + c * K // 2) % (2 * r)]
+            if target is not None:
+                row, shift = target
+                e = (c * d * K * K // 4 + b * c * K * j + a * b * j * j + shift) % period
+                terms.setdefault((row, col), []).append(e)
+    return terms
+
+
+def _kp_sum(a, b, c, d, r, start):
+    """The closed-form sum of _kp_terms as a dense matrix."""
+    n = r - 1
+    zero, roots = CycScalar.zero(r), t_powers(r)
+    mat = [[zero] * n for _ in range(n)]
+    for (row, col), exponents in _kp_terms(a, b, c, d, r, start).items():
+        entry = roots[exponents[0]]
+        for e in exponents[1:]:
+            entry = entry + roots[e]
+        mat[row][col] = entry
     return mat
+
+
+def _kp_norm(terms, r):
+    """sum of x * conj(x) over the entries x of _kp_sum, from its _kp_terms.
+
+    An entry sum_a t^{e_a} has x * conj(x) = sum_{a,b} t^{e_a - e_b}, so
+    the whole sum is one count of exponent differences over 4r, reduced
+    once: no coefficient products.
+    """
+    period = 4 * r
+    counts = [0] * period
+    for exponents in terms.values():
+        for e in exponents:
+            for f in exponents:
+                counts[(e - f) % period] += 1
+    return CycScalar(r, counts)
 
 
 def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
@@ -323,16 +377,18 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
     h.check()
     a, b, c, d = h.d, h.b, h.c, h.a  # word-reversal antiautomorphism
     ref, s_count = rho_word_exact(sl2z_decompose(h), r)
-    mat, window = _kp_sum(a, b, c, d, r, 0), "integer"
+    start, window = 0, "integer"
+    mat = _kp_sum(a, b, c, d, r, start)
     if linalg.mat_is_zero(mat) and not c % 2:
-        mat, window = _kp_sum(a, b, c, d, r, 1), "half-integer"
+        start, window = 1, "half-integer"
+        mat = _kp_sum(a, b, c, d, r, start)
     ratio = _exact_proportionality(mat, ref, r)
     if not ratio:
         raise ArithmeticError(
             f"closed form for {tuple(h)} is not proportional to the word product"
         )
     norm = ratio * ratio.conjugate()
-    frob = sum(x * x.conjugate() for row in mat for x in row if x)
+    frob = _kp_norm(_kp_terms(a, b, c, d, r, start), r)
     if frob != norm * eta_inverse_square(r) ** s_count * (r - 1):
         raise ArithmeticError(f"word product for {tuple(h)} is not unitary up to scale")
     return KacPeterson(mat, embed_matrix([[ratio.conjugate()]], norm)[0][0], window)

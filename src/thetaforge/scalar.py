@@ -11,8 +11,10 @@ normalizes; the constructors and operations whose result is already in
 that form (zero, integers, negation, shifts by roots of unity, t_power)
 store it directly.  Instances are immutable, so each order r keeps one
 shared zero and one shared t^e for each e mod 4r: CycScalar.zero,
-CycScalar.one and t_power hand those out, and == answers True for one
-object without comparing coefficients.
+CycScalar.one, t_power and the table t_powers hand those out, x * 0 is
+the shared zero, a shift of a shared t^f (found by its identity) is the
+shared t^{f+e}, and == answers True for one object without comparing
+coefficients.
 
 Inverses and complex conjugates come from the Galois maps
 zeta -> zeta^k.  The complex embedding is fixed point: one exact integer
@@ -35,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, neg
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -187,7 +189,7 @@ class CycScalar:
     @classmethod
     def one(cls, r):
         """The one of order r, the shared t^0."""
-        return _root_scalars(r)[0]
+        return t_powers(r)[0]
 
     @classmethod
     def from_int(cls, n, r):
@@ -253,6 +255,8 @@ class CycScalar:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if not other:
+                return _zero(self.r)
             return CycScalar(self.r, tuple(c * other for c in self.num), self.den)
         if isinstance(other, Fraction):
             return CycScalar(
@@ -272,24 +276,34 @@ class CycScalar:
     def times_root(self, e: int):
         """self * t^e by an exponent shift, with no coefficient products.
 
-        The coefficients rotate by e in Z[x]/(x^{2r} + 1), the wrapped part
-        negated since t^{2r} = -1, and are reduced modulo Phi_{4r}, which
-        divides x^{2r} + 1.  t^e is a unit of Z[t], so the content and the
-        denominator stay.  For e = 0 mod 4r, and for a zero self, it is self.
+        A shared t^f (t_powers) gives the shared t^{f+e}.  Otherwise the
+        coefficients rotate by e in Z[x]/(x^{2r} + 1), the wrapped part
+        negated since t^{2r} = -1.  When phi(4r) = 2r (r a power of two)
+        Phi_{4r} is x^{2r} + 1 and the rotation is the result; otherwise it
+        is reduced modulo Phi_{4r}, which divides x^{2r} + 1.  t^e is a unit
+        of Z[t], so the content and the denominator stay.  For e = 0 mod 4r,
+        and for a zero self, it is self.
         """
-        n = 2 * self.r
+        r = self.r
+        f = _SHARED_ROOT_EXPONENT.get(id(self))
+        if f is not None:
+            return _ROOTS[r][(f + e) % (4 * r)]
+        n = 2 * r
         e %= 2 * n
-        if not e or not any(self.num):
+        num = self.num
+        if not e or not any(num):
             return self
-        s = e % n
-        vec = list(self.num)
-        vec += [0] * (n - len(vec))
-        moved, kept = vec[n - s:], vec[: n - s]
+        cut = n - e % n
+        if len(num) == n:
+            if e < n:
+                return _from_normalized(r, (*map(neg, num[cut:]), *num[:cut]), self.den)
+            return _from_normalized(r, (*num[cut:], *map(neg, num[:cut])), self.den)
+        vec = [*num, *[0] * (n - len(num))]
         if e < n:
-            vec = [-c for c in moved] + kept
+            vec = [*map(neg, vec[cut:]), *vec[:cut]]
         else:
-            vec = moved + [-c for c in kept]
-        return _from_normalized(self.r, tuple(_reduce_mod_cyclotomic(vec, 2 * n)), self.den)
+            vec = [*vec[cut:], *map(neg, vec[:cut])]
+        return _from_normalized(r, tuple(_reduce_mod_cyclotomic(vec, 2 * n)), self.den)
 
     def root_exponent(self):
         """The e in [0, 4r) with self == t^e, or None if self is no power of t."""
@@ -429,10 +443,23 @@ def _zero(r):
     return _from_normalized(r, (0,) * euler_phi(4 * r), 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _root_scalars(r):
-    """(t^0, t^1, ..., t^{4r-1}) of order r, the instances t_power shares."""
-    return tuple(_from_normalized(r, vec, 1) for vec in _root_powers(4 * r)[0])
+# r -> (t^0, ..., t^{4r-1}) of order r, built once and kept for the life of
+# the process, so the ids of these shared instances are never reused
+_ROOTS = {}
+# id(t^e) -> e for every instance in _ROOTS, of every order
+_SHARED_ROOT_EXPONENT = {}
+
+
+def t_powers(r):
+    """(t^0, t^1, ..., t^{4r-1}) of order r: the instances that t_power,
+    CycScalar.one and CycScalar.times_root share."""
+    roots = _ROOTS.get(r)
+    if roots is None:
+        built = tuple(_from_normalized(r, vec, 1) for vec in _root_powers(4 * r)[0])
+        roots = _ROOTS.setdefault(r, built)
+        if roots is built:
+            _SHARED_ROOT_EXPONENT.update((id(x), e) for e, x in enumerate(roots))
+    return roots
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +505,7 @@ def _mpf_ratio(p, q):
 def t_power(r: int, e: int) -> CycScalar:
     """t^e where t = zeta_{4r} = exp(i*pi/2r), e taken modulo 4r: the
     shared instance, so t_power(r, e) is t_power(r, e + 4r)."""
-    return _root_scalars(r)[e % (4 * r)]
+    return t_powers(r)[e % (4 * r)]
 
 
 def index_fold(j: int, r: int):

@@ -67,6 +67,43 @@ def test_zeta_fold_involution():
                 assert j % r == 0
 
 
+def _weyl_oracle(p, q, r):
+    """weyl_cos_matrix by its defining per-entry loop: one zeta_fold and one
+    t_power per target, a fold sign of -1 being the factor t^{2r}."""
+    n = r - 1
+    mat = [[CycScalar.zero(r)] * n for _ in range(n)]
+    for j in range(1, r):
+        for target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
+            sign, idx = zeta_fold(target, r)
+            if sign:
+                exponent = phase - p * q if sign > 0 else phase - p * q + 2 * r
+                mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + t_power(r, exponent)
+    return mat
+
+
+def _labels(rng, r):
+    """(p, q) pairs: a box past 4r in each label, p = 0 mod r (both targets of a
+    column in one entry) and labels past 10**6 of both signs."""
+    pairs = [(p, q) for p in range(-2 * r, 2 * r + 1, max(1, r // 3)) for q in (-r - 1, -1, 0, 2, 3 * r)]
+    pairs += [(k * r, rng.randint(-9 * r, 9 * r)) for k in range(-3, 4)]
+    for _ in range(40):
+        big = [rng.randint(10**6, 10**12) * rng.choice((-1, 1)) for _ in range(2)]
+        small = [rng.randint(-5 * r, 5 * r) for _ in range(2)]
+        pairs += [tuple(big), (big[0], small[0]), (small[1], big[1])]
+    return pairs
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_weyl_matches_per_entry_oracle(r):
+    rng = random.Random(100 + r)
+    for p, q in _labels(rng, r):
+        got = weyl_cos_matrix(CosObservable(p, q), r)
+        want = _weyl_oracle(p, q, r)
+        assert [[(x.num, x.den) for x in row] for row in got] == [
+            [(x.num, x.den) for x in row] for row in want
+        ], (r, p, q)
+
+
 def test_wilson_decompose():
     assert wilson_decompose(2, 3, 1) == ((), 1)
     assert wilson_decompose(1, 2, 2) == ((CosObservable(1, 2),), 0)

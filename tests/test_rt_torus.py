@@ -13,7 +13,9 @@ from thetaforge.rt_torus import (
     TorusSkein,
     _exact_proportionality,
     _gap_inverses,
+    _kp_norm,
     _kp_sum,
+    _kp_terms,
     _newton_solve,
     curve_transform,
     f_of_twist_solve,
@@ -157,6 +159,54 @@ def test_pair_matches_skein_curve():
                 assert [[(x.num, x.den) for x in row] for row in pair] == [
                     [(x.num, x.den) for x in row] for row in skein
                 ], (r, p, q)
+
+
+def _rt_rep_oracle(terms, r):
+    """rt_rep_matrix by its defining per-entry loop: one index_fold per
+    target and one schoolbook product c * t_power per term, a fold sign of
+    -1 being the factor t^{2r}."""
+    n = r - 1
+    mat = [[CycScalar.zero(r)] * n for _ in range(n)]
+    for (p, q), c in terms:
+        for j in range(1, r):
+            for target, phase in ((j - p, 2 * q * j), (j + p, -2 * q * j)):
+                sign, idx = index_fold(target, r)
+                if sign:
+                    e = phase - p * q if sign > 0 else phase - p * q + 2 * r
+                    mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + c * t_power(r, e)
+    return mat
+
+
+def _parts(mat):
+    return [[(x.num, x.den) for x in row] for row in mat]
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_rt_rep_matches_per_entry_oracle(r):
+    # labels past 4r, p = 0 mod r (both targets of a column in one entry)
+    # and past 10**6; coefficients one, int, Fraction, a shared root and a
+    # general element
+    rng = random.Random(200 + r)
+
+    def small(k):
+        return rng.randint(-k * r, k * r)
+
+    def big():
+        return rng.randint(10**6, 10**12) * rng.choice((-1, 1))
+
+    pairs = [(small(3), small(3)) for _ in range(40)]
+    pairs += [(k * r, small(9)) for k in range(-3, 4)]
+    pairs += [(big(), big()) for _ in range(20)] + [(big(), small(5)) for _ in range(20)]
+    pairs += [(small(5), big()) for _ in range(20)]
+    general = CycScalar(r, [rng.randint(-9, 9) for _ in range(euler_phi(4 * r))], 6)
+    one = CycScalar.one(r)
+    for p, q in pairs:
+        assert _parts(rt_rep_matrix((p, q), r)) == _parts(_rt_rep_oracle([((p, q), one)], r)), (p, q)
+    for _ in range(30):
+        coeffs = [3, Fraction(-2, 5), t_power(r, rng.randrange(4 * r)), general, one]
+        skein = TorusSkein(r, {rng.choice(pairs): c for c in coeffs})
+        terms = [(key, CycScalar.coerce(c, r)) for key, c in skein.terms.items()]
+        assert _parts(rt_rep_matrix(skein, r)) == _parts(_rt_rep_oracle(terms, r))
 
 
 def test_rep_eigenvalues_of_meridian():
@@ -469,6 +519,36 @@ def test_window_rule_holds_on_the_box():
             assert _exactly_proportional(mat, ref), (tuple(h), r)
 
 
+def _kp_oracle(a, b, c, d, r, start):
+    """_kp_sum by its defining per-entry loop: one index_fold and one
+    t_power per term."""
+    n = r - 1
+    mat = [[CycScalar.zero(r)] * n for _ in range(n)]
+    for j in range(1, r):
+        for K in range(start, 4 * r if c else start + 1, 2):
+            sign, idx = index_fold(a * j + c * K // 2, r)
+            if sign:
+                e = c * d * K * K // 4 + b * c * K * j + a * b * j * j
+                mat[idx - 1][j - 1] = mat[idx - 1][j - 1] + t_power(r, e if sign > 0 else e + 2 * r)
+    return mat
+
+
+def test_kp_sum_and_norm_match_per_entry_oracles():
+    # the norm from exponent counts equals the schoolbook sum of x * conj(x)
+    rng = random.Random(24)
+    for r in range(2, 13):
+        hs = [S, T, SL2Z(1, 0, 2, 1), SL2Z(5, 2, 7, 3)]
+        hs += [word_matrix(random_word(rng, 8)) for _ in range(6)]
+        for h in hs:
+            a, b, c, d = h.d, h.b, h.c, h.a
+            for start in (0, 1) if c % 2 == 0 else (0,):
+                mat = _kp_sum(a, b, c, d, r, start)
+                assert _parts(mat) == _parts(_kp_oracle(a, b, c, d, r, start)), (tuple(h), r, start)
+                want = sum((x * x.conjugate() for row in mat for x in row), CycScalar.zero(r))
+                got = _kp_norm(_kp_terms(a, b, c, d, r, start), r)
+                assert (got.num, got.den) == (want.num, want.den), (tuple(h), r, start)
+
+
 def test_kac_peterson_raises_on_wrong_norm(monkeypatch):
     # a normalisation twice too large breaks the exact Frobenius identity
     real = rt_torus.eta_inverse_square
@@ -488,10 +568,6 @@ def test_kac_peterson_phase_matches_word_product():
 
 
 # -- the kept word product ----------------------------------------------------
-
-def _parts(mat):
-    return [[(x.num, x.den) for x in row] for row in mat]
-
 
 def test_kac_peterson_reuses_the_callers_word_product(monkeypatch):
     # the reference of rho_kac_peterson is the sl2z_decompose normal form,

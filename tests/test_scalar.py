@@ -17,6 +17,7 @@ from thetaforge.scalar import (
     gauss_sum,
     qint,
     t_power,
+    t_powers,
 )
 
 
@@ -323,7 +324,9 @@ _ROOT_EXPONENTS = st.one_of(st.integers(-200, -1), st.just(0), st.integers(1, 20
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_times_root_matches_product(data):
-    r = data.draw(st.integers(2, 16))
+    # r = 2, 4, 8 and 16 rotate with no reduction (phi(4r) = 2r), 15 and 24
+    # reduce modulo Phi_{4r} of several terms
+    r = data.draw(st.integers(2, 24))
     e = data.draw(st.one_of(_ROOT_EXPONENTS, st.integers(4 * r, 12 * r)))
     phi = euler_phi(4 * r)
     num = data.draw(st.lists(st.integers(-(2**70), 2**70), min_size=phi, max_size=phi))
@@ -332,6 +335,14 @@ def test_times_root_matches_product(data):
     got = x.times_root(e)
     want = x * t_power(r, e)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("r", range(2, 25))
+def test_times_root_of_a_shared_root_is_shared(r):
+    rng = random.Random(r)
+    for f in range(4 * r):
+        for e in [0, 1, -1, 2 * r, 4 * r, -4 * r - 1, 10**6 + 3, *(rng.randint(-200, 200) for _ in range(4))]:
+            assert t_power(r, f).times_root(e) is t_power(r, f + e), (f, e)
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,6 +374,9 @@ def test_roots_and_zero_are_shared():
         assert CycScalar.zero(r) is CycScalar.zero(r)
         assert CycScalar.one(r) is t_power(r, 0)
         assert CycScalar.zero(r).times_root(3) is CycScalar.zero(r)
+        assert all(x is t_power(r, e) for e, x in enumerate(t_powers(r))) and len(t_powers(r)) == m
+        assert t_power(r, 3) * 0 is CycScalar.zero(r)
+    assert 0 * qint(2, 5) is CycScalar.zero(5)
 
 
 @pytest.mark.parametrize("r", [2, 5, 12])
