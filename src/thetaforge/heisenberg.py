@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .scalar import Combination, CycScalar, embed_matrix, t_power
 from . import linalg
-from .sl2z import S, T, SL2Z, _word_product, check_word
+from .sl2z import S, T, SL2Z, check_word, word_product
 
 
 class HeisElt(NamedTuple):
@@ -171,7 +171,7 @@ _OBS_IMAGE = {"S": S, "T": T.transpose()}
 
 
 def observable_action_matrix(word) -> SL2Z:
-    return _word_product(word, _OBS_IMAGE)
+    return word_product(word, _OBS_IMAGE)
 
 
 # -- discrete Fourier transforms --------------------------------------------

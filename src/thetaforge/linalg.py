@@ -7,7 +7,9 @@ each t^e of it is an exponent shift of the other operand's entries; any
 other pair goes through Kronecker-packed exact dot products.  Both rules
 pack into one format, packed and unpacked in C by ``struct`` while a slot
 fits in 64 bits.  ``mat_scale`` by a CycScalar runs the same kernel on the
-column of entries times [[c]].  ``RowSpan`` eliminates CycScalar vectors
+column of entries times [[c]].  The shift rule is one kernel,
+``shift_sums``, which also forms rt_torus.rt_rep_matrix's skein operators
+as sums of shifted coefficients.  ``RowSpan`` eliminates CycScalar vectors
 exactly; the other routines need entries that support +, -, *, == and
 truth testing.  Nothing ever rounds.
 """
@@ -163,9 +165,18 @@ def _pack_all(pack, prepped):
     return [(den, [0 if x is None else pack(*x) for x in entries]) for den, entries in prepped]
 
 
-def _shift_product(lines, vectors, roots, r):
-    """Rule 1 of mat_mul: entry (i, j) is sum(t^e * vectors[j][s]) over the
-    terms (s, e) of lines[i]; roots holds the vectors' _root_terms, or None."""
+def shift_sums(lines, vectors, roots, r):
+    """Entry (i, j) is sum(t^e * vectors[j][s]) over the terms (s, e) of lines[i].
+
+    vectors are equal-length lists of CycScalar entries of order r, and each
+    line lists terms (s, e) with 0 <= e < 4r; a line may repeat an index s.
+    roots holds, for each vector, its (s, f) pairs with entry s == t^f, one
+    per nonzero entry, when every nonzero entry of every vector is a power
+    of t, and is None otherwise.  An empty line gives the shared zero, a
+    line of one term t^e the vectors' times_root(e), and a longer line one
+    shifted sum of packed entries per vector: mat_mul's rule 1, whose
+    docstring gives the slot width.  Returns the rows of entries.
+    """
     zero = CycScalar.zero(r)
     n, k = 2 * r, len(vectors[0])
     packed = None
@@ -179,13 +190,14 @@ def _shift_product(lines, vectors, roots, r):
             out.append([v[s].times_root(e) for v in vectors])
             continue
         if packed is None:
+            count = max(map(len, lines)).bit_length()
             if roots is None:
                 prepped, bits = _pack_prep(vectors)
-                w = _slot_width(bits + k.bit_length() + 1)
+                w = _slot_width(bits + count + 1)
                 pack, unpack = _codec(w, r)
                 packed = _pack_all(pack, prepped)
             else:  # t^f packs as +-2**(w * (f mod 2r)): bits = 1
-                w = _slot_width(k.bit_length() + 2)
+                w = _slot_width(count + 2)
                 unpack = _codec(w, r)[1]
                 packed = [(1, [0] * k) for _ in roots]
                 for (_, vec), vec_terms in zip(packed, roots):
@@ -229,9 +241,9 @@ def _product(a, b, r):
     roots_a = _root_terms(a, zero)
     roots_b = _root_terms(columns, zero)
     if roots_a is not None and (roots_b is None or sum(map(len, roots_a)) <= sum(map(len, roots_b))):
-        return _shift_product(roots_a, columns, roots_b, r)
+        return shift_sums(roots_a, columns, roots_b, r)
     if roots_b is not None:
-        return [list(row) for row in zip(*_shift_product(roots_b, a, roots_a, r))]
+        return [list(row) for row in zip(*shift_sums(roots_b, a, roots_a, r))]
     return _packed_product(a, columns, r)
 
 
@@ -253,8 +265,10 @@ def mat_mul(a, b):
        packs t^f as +-2**(w * (f mod 2r)), any other as in rule 2.  An
        entry spans at most 2r slots, so each term adds at most one
        coefficient to a slot, before the fold and after it: w0 = bits +
-       bit_length(k) + 1, where bits = 1 for roots and as in rule 2
-       otherwise.  This is the abelian S-step F D F.
+       bit_length(m) + 1, m the most terms of any line, where bits = 1
+       for roots and as in rule 2 otherwise.  A line of mat_mul has m <= k
+       terms; a line of shift_sums may repeat an index, so m, not the
+       vector length, bounds a slot.  This is the abelian S-step F D F.
     2. Packed.  Each row of a and each column of b is brought to one
        common denominator, and every entry's integer coefficient vector c
        is packed into the single integer sum(c[e] * 2**(w*e)) (Kronecker

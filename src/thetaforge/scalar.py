@@ -8,8 +8,8 @@ testing, inversion and linear algebra are exact.  A quotient by the
 cyclotomic polynomial, rather than by x^{4r}-1, is essential: the former
 is a field, the latter has zero divisors.  The constructor reduces and
 normalizes; the constructors and operations whose result is already in
-that form (zero, integers, negation, shifts by roots of unity, t_power)
-store it directly.  Instances are immutable, so each order r keeps one
+that form (zero, integers, negation, shifts by roots of unity, t_power,
+sums and differences over denominator 1) store it directly.  Instances are immutable, so each order r keeps one
 shared zero and one shared t^e for each e mod 4r: CycScalar.zero,
 CycScalar.one, t_power and the table t_powers hand those out, x * 0 is
 the shared zero, a shift of a shared t^f (found by its identity) is the
@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul, neg
+from operator import add, mul, neg, sub
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -227,6 +227,8 @@ class CycScalar:
         self._check(other)
         da, db = self.den, other.den
         if da == db:
+            if da == 1:  # a sum of reduced integer vectors is reduced
+                return _from_normalized(self.r, tuple([*map(add, self.num, other.num)]), 1)
             return CycScalar(self.r, [a + b for a, b in zip(self.num, other.num)], da)
         return CycScalar(
             self.r, [a * db + b * da for a, b in zip(self.num, other.num)], da * db
@@ -245,6 +247,8 @@ class CycScalar:
         self._check(other)
         da, db = self.den, other.den
         if da == db:
+            if da == 1:
+                return _from_normalized(self.r, tuple([*map(sub, self.num, other.num)]), 1)
             return CycScalar(self.r, [a - b for a, b in zip(self.num, other.num)], da)
         return CycScalar(
             self.r, [a * db - b * da for a, b in zip(self.num, other.num)], da * db

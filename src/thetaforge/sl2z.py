@@ -82,10 +82,10 @@ def check_word(word):
 
 
 def word_matrix(word) -> SL2Z:
-    return _word_product(word, _LETTERS)
+    return word_product(word, _LETTERS)
 
 
-def _word_product(word, images) -> SL2Z:
+def word_product(word, images) -> SL2Z:
     """The product of images[letter] ** exp over the checked word, in order."""
     out = IDENTITY
     for letter, exp in check_word(word):

@@ -138,3 +138,40 @@ def test_defaulted_parameters_are_pinned():
         if param.default is not param.empty
     }
     assert found == DEFAULTED_PARAMETERS
+
+
+# linalg finds the shared powers of t by identity in scalar's id -> exponent
+# map, which is no public API; no other private name crosses modules
+SHARED_PRIVATE_NAMES = {("thetaforge.linalg", "thetaforge.scalar", "_SHARED_ROOT_EXPONENT")}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rpartition(".")[2])
+def test_modules_take_no_private_names_from_siblings(module):
+    # both "from .scalar import _name" and "from . import linalg" followed
+    # by "linalg._name" reach a sibling's private name
+    package = thetaforge.__name__
+    siblings, found = {}, set()
+    tree = _syntax_tree(module)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:  # the modules are one package deep
+            source = ".".join(filter(None, (package, node.module)))
+        elif (node.module or "").split(".")[0] == package:
+            source = node.module
+        else:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.add((module.__name__, source, alias.name))
+            elif source == package:
+                siblings[alias.asname or alias.name] = f"{package}.{alias.name}"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and node.attr.startswith("_")
+        ):
+            found.add((module.__name__, siblings[node.value.id], node.attr))
+    assert found <= SHARED_PRIVATE_NAMES, sorted(found - SHARED_PRIVATE_NAMES)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,36 @@ def test_mat_mul_slot_width_boundaries(width, offset, data):
         got = linalg.mat_mul(a, b)
     assert [w for w, _ in codecs] == [width if offset <= 0 else 2 * width if width < 64 else least]
     assert _bits(got) == _bits(_schoolbook(a, b))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("r", [3, 4])
+def test_shift_sums_width_counts_repeated_terms(width, r):
+    # a line may repeat an index (rt_rep_matrix puts both targets of a curve
+    # in one entry when p = 0 mod r): six terms over vectors of k = 3
+    # entries, every coefficient of one sign and at the most bits that
+    # bits + bit_length(k) + 1 = width allows
+    k, bits = 3, width - 3
+    phi = euler_phi(4 * r)
+    vectors = [[CycScalar(r, [sign * (2**bits - 1)] * phi) for _ in range(k)] for sign in (1, -1)]
+    rng = random.Random(width + r)
+    lines = [[(s, e) for s in range(k) for _ in range(2)] for e in (0, 1, 2 * r, 4 * r - 1)]
+    lines += [[(rng.randrange(k), rng.randrange(4 * r)) for _ in range(6)] for _ in range(4)]
+    lines += [[], [(1, 2 * r + 1)]]
+    got = linalg.shift_sums(lines, vectors, None, r)
+    want = [[_shift_oracle(terms, v) for v in vectors] for terms in lines]
+    assert _bits(got) == _bits(want)
+    # vectors of roots pack t^f from its exponent
+    exps = [rng.randrange(4 * r) for _ in range(k)]
+    roots = [t_power(r, f) for f in exps]
+    got = linalg.shift_sums(lines, [roots], [list(enumerate(exps))], r)
+    assert _bits(got) == _bits([[_shift_oracle(terms, roots)] for terms in lines])
+
+
+def _shift_oracle(terms, vec):
+    """sum(t^e * vec[s]) over the terms (s, e), by schoolbook products."""
+    r = vec[0].r
+    return sum((vec[s] * t_power(r, e) for s, e in terms), CycScalar.zero(r))
 
 
 def test_fast_paths_are_taken(monkeypatch):

@@ -209,6 +209,49 @@ def test_rt_rep_matches_per_entry_oracle(r):
         assert _parts(rt_rep_matrix(skein, r)) == _parts(_rt_rep_oracle(terms, r))
 
 
+@pytest.mark.parametrize("r", [*range(2, 13), 16, 24])
+def test_rt_rep_of_a_dense_skein_matches_oracle(r):
+    # every curve of K(r), curves with p = 0 mod r (both targets of a column
+    # in one entry) and labels past 4r, each with its own coefficient: 40-bit
+    # numerators over denominators, ints, Fractions and powers of t
+    rng = random.Random(500 + r)
+    phi = euler_phi(4 * r)
+    curves = [(0, q) for q in range(r - 1)]
+    curves += [(p, q) for p in range(1, r - 1) for q in range(2 * (r - 1 - p))]
+    curves += [(k * r, rng.randint(-9 * r, 9 * r)) for k in (-3, -1, 1, 2, 4)]
+    curves += [(rng.randint(4 * r, 9 * r), rng.randint(-9 * r, 9 * r)) for _ in range(r)]
+
+    def coefficient():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.randint(-9, 9) or 1
+        if kind == 1:
+            return Fraction(rng.randint(1, 99), rng.randint(2, 99))
+        if kind == 2:
+            return t_power(r, rng.randrange(4 * r))
+        num = [rng.randint(-(2**40), 2**40) for _ in range(phi)]
+        return CycScalar(r, num, rng.choice((1, rng.randint(2, 2**20))))
+
+    skein = TorusSkein(r, {curve: coefficient() for curve in curves})
+    terms = [(key, CycScalar.coerce(c, r)) for key, c in skein.terms.items()]
+    assert _parts(rt_rep_matrix(skein, r)) == _parts(_rt_rep_oracle(terms, r))
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_pair_path_hands_out_shared_instances(r):
+    # equivalence_check's mat_eq passes an entry that both sides share by
+    # identity: a pair's entries are the shared t^e and zero, except the one
+    # sum per column where both targets meet (p = 0 mod r)
+    zero = CycScalar.zero(r)
+    for p in range(-2 * r, 2 * r + 1):
+        for q in range(-r, r + 1):
+            columns = list(zip(*rt_rep_matrix((p, q), r)))
+            if p % r:
+                assert all(x is zero or x is t_power(r, x.root_exponent()) for col in columns for x in col)
+            else:
+                assert all(sum(x is not zero for x in col) == 1 for col in columns)
+
+
 def test_rep_eigenvalues_of_meridian():
     for r in range(2, 9):
         mat = rt_rep_matrix((0, 1), r)
@@ -766,6 +809,14 @@ def test_skein_from_matrix_round_trip_r16():
     r = 16
     m, _ = rho_word_exact([("S", 1), ("T", 2), ("S", -1), ("T", -1), ("S", 1)], r)
     assert linalg.mat_eq(rt_rep_matrix(skein_from_matrix(m, r), r), m)
+
+
+def test_skein_from_matrix_round_trip_r24():
+    r = 24
+    m, _ = rho_word_exact([("T", 1), ("S", 1), ("T", -2), ("S", 1)], r)
+    skein = skein_from_matrix(m, r)
+    assert len(skein.terms) > 10 * r
+    assert _parts(rt_rep_matrix(skein, r)) == _parts(m)
 
 
 def test_skein_from_matrix_rejects_bad_entries():

@@ -317,6 +317,32 @@ def test_fraction_operands_coerce(x, q):
         assert q / x == y / x == q * inv
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_add_and_sub_match_the_constructor(data):
+    # over den 1 on both sides the sum of the reduced vectors is stored as
+    # it is; other denominators (equal ones whose content cancels among
+    # them) go through the constructor's gcd
+    r = data.draw(st.integers(2, 24))
+    phi = euler_phi(4 * r)
+    dens = st.one_of(st.just(1), st.integers(2, 2**40))
+
+    def element():
+        kind = data.draw(st.sampled_from(("general", "root", "zero")))
+        if kind == "root":
+            return t_power(r, data.draw(st.integers(0, 4 * r - 1)))
+        if kind == "zero":
+            return CycScalar.zero(r)
+        num = data.draw(st.lists(st.integers(-(2**70), 2**70), min_size=phi, max_size=phi))
+        return CycScalar(r, num, data.draw(dens))
+
+    x = element()
+    y = data.draw(st.sampled_from((element(), x, -x, x * 2)))
+    for got, op in ((x + y, int.__add__), (x - y, int.__sub__)):
+        want = CycScalar(r, [op(a * y.den, b * x.den) for a, b in zip(x.num, y.num)], x.den * y.den)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 # exponents below zero, at zero and at or past 4r
 _ROOT_EXPONENTS = st.one_of(st.integers(-200, -1), st.just(0), st.integers(1, 200))
 
