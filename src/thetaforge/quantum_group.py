@@ -15,7 +15,7 @@ evaluated exactly in Q(zeta_4r), reproduces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .scalar import (
@@ -32,8 +32,7 @@ from .scalar import (
 
 # -- irreducible representations ----------------------------------------------
 
-@dataclass(frozen=True)
-class QGroupRep:
+class QGroupRep(NamedTuple):
     """Matrices of X, Y, K on a weight basis, lowest weight first."""
 
     k: int
@@ -216,35 +215,45 @@ def _incidence(graph):
     return incident
 
 
-@dataclass(frozen=True)
-class TrivalentGraph:
-    """A connected trivalent graph; loops allowed, multi-edges allowed.
-
-    Edges are (u, v) vertex pairs; the vertexless circle (genus one) is
-    the single edge (None, None).
-    """
-
+class _GraphFields(NamedTuple):
     vertices: tuple
     edges: tuple
 
-    def __post_init__(self):
-        if not self.vertices:
-            if self.edges != ((None, None),):
+
+class TrivalentGraph(_GraphFields):
+    """A connected trivalent graph; loops allowed, multi-edges allowed.
+
+    Edges are (u, v) vertex pairs; the vertexless circle (genus one) is
+    the single edge (None, None).  Construction, _make and _replace all
+    validate the graph.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertices, edges):
+        self = super().__new__(cls, vertices, edges)
+        if not vertices:
+            if edges != ((None, None),):
                 raise ValueError("a vertexless graph must be the single circle")
-            return
+            return self
         incident = _incidence(self)
         if any(len(slots) != 3 for slots in incident.values()):
             raise ValueError("every vertex must have degree 3 (loops count twice)")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        seen = {vertices[0]}
+        stack = [vertices[0]]
         while stack:
             for idx in incident[stack.pop()]:
-                for w in self.edges[idx]:
+                for w in edges[idx]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len(seen) != len(vertices):
             raise ValueError("graph must be connected")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def genus(self):

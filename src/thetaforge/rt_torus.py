@@ -426,13 +426,21 @@ def _exact_proportionality(m1, m2, r):
 # -- reconstruction and presentation ------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _gap_inverses(r: int):
-    """(None, 1/(w - 1), ..., 1/(w^{r-1} - 1)) with w = t^4, a primitive r-th root.
+def _gap_product_inverses(r: int):
+    """(1/prod_{i=1}^{b} (w^i - 1) for b = 0..r-1) with w = t^4, a primitive r-th root.
 
-    Entry k inverts the Newton node gap factor w^k - 1; entry 0 is None,
-    as w^0 - 1 = 0.
+    The w^i, i = 1..r-1, are the roots of 1 + x + ... + x^{r-1}, whose
+    value at x = 1 gives prod_{i=1}^{r-1} (1 - w^i) = r.  So entry b is
+    (-1)^{r-1} prod_{i=b+1}^{r-1} (w^i - 1) / r: r - 2 exponent shifts
+    and differences from b = r-1 down, and no field inverse.
     """
-    return (None, *((t_power(r, 4 * k) - 1).inverse() for k in range(1, r)))
+    sign_r = r if r % 2 else -r  # (-1)^{r-1} r
+    tail = CycScalar.one(r)  # prod_{i=b+1}^{r-1} (w^i - 1), from b = r-1 down
+    out = [tail / sign_r]
+    for b in range(r - 1, 1, -1):
+        tail = tail.times_root(4 * b) - tail
+        out.append(tail / sign_r)
+    return (CycScalar.one(r), *reversed(out))
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,17 +461,19 @@ def _newton_solve(values, p, r):
 
     Newton divided differences, then Horner's P <- P (x - z_a) + d_a into
     the monomial basis (Bjorck and Pereyra, Math. Comp. 24, 1970).  The
-    gap z_b - z_a is t^{2p+4a} (w^{b-a} - 1), so a divided difference is
-    one product by _gap_inverses(r)[b-a] and an exponent shift, and
-    multiplying by a node z_a is an exponent shift.
+    gap z_b - z_a is t^{2p+4a} (w^{b-a} - 1) with w = t^4, and column k
+    divides every entry by the same w^k - 1 up to that shift, so the
+    columns carry D_b = d_b prod_{i<=k} (w^i - 1): one difference and one
+    exponent shift per entry.  Each final d_b is D_b times
+    _gap_product_inverses(r)[b], h products in all, and multiplying by a
+    node z_a is an exponent shift.
     """
     h = len(values)
-    gaps = _gap_inverses(r)
     d = list(values)
     for k in range(1, h):
         for b in range(h - 1, k - 1, -1):
-            diff = d[b] - d[b - 1]
-            d[b] = (diff * gaps[k]).times_root(-2 * p - 4 * (b - k + 1)) if diff else diff
+            d[b] = (d[b] - d[b - 1]).times_root(-2 * p - 4 * (b - k + 1))
+    d = [c * s for c, s in zip(d, _gap_product_inverses(r))]
     coeffs = [d[-1]]
     for a in range(h - 1, 0, -1):
         shifted = [c.times_root(2 * p + 4 * a) for c in coeffs]
@@ -503,8 +513,8 @@ def skein_from_matrix(mat, r: int) -> TorusSkein:
     C(-y_a) at (r-a, r-p-a), a = 1..h (1-based): the even and odd parts of C
     solve one h x h Vandermonde system at z_a = t^{2p+4a}, distinct since t^4
     is a primitive r-th root and a < r.  Newton interpolation solves each
-    part in O(h^2) scalar operations: h(h-1)/2 products by the cached
-    per-r inverses 1/(t^{4k} - 1), the rest exponent shifts and sums.
+    part in O(h^2) scalar operations: h products by the cached per-r
+    inverses 1/prod_{i<=b} (t^{4i} - 1), the rest exponent shifts and sums.
     Level 0 is the Chebyshev system sum_q c_q (t^{2qj} + t^{-2qj}) =
     mat[j][j] at the distinct nodes 2cos(pi j/r), solved against a RowSpan
     built once per r.  Every level is nonsingular, so K(r) is a basis; the

@@ -12,8 +12,9 @@ that form (zero, integers, negation, shifts by roots of unity, t_power,
 sums and differences over denominator 1) store it directly.  Instances are immutable, so each order r keeps one
 shared zero and one shared t^e for each e mod 4r: CycScalar.zero,
 CycScalar.one, t_power and the table t_powers hand those out, x * 0 is
-the shared zero, a shift of a shared t^f (found by its identity) is the
-shared t^{f+e}, and == answers True for one object without comparing
+the shared zero, a product with a shared t^e (found by its identity) is
+the other factor's times_root(e), a shift of a shared t^f is the shared
+t^{f+e}, and == answers True for one object without comparing
 coefficients.
 
 Inverses and complex conjugates come from the Galois maps
@@ -34,10 +35,10 @@ an embedded value (arithmetic goes through to_mpc).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -271,6 +272,12 @@ class CycScalar:
         if not isinstance(other, CycScalar):
             return NotImplemented
         self._check(other)
+        e = _SHARED_ROOT_EXPONENT.get(id(other))
+        if e is not None:
+            return self.times_root(e)
+        e = _SHARED_ROOT_EXPONENT.get(id(self))
+        if e is not None:
+            return other.times_root(e)
         prod = list(poly_mul(self.num, other.num))
         _reduce_mod_cyclotomic(prod, 4 * self.r)
         return CycScalar(self.r, prod, self.den * other.den)
@@ -748,8 +755,7 @@ class LaurentPoly(Combination):
 # embedded complex values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexAP:
+class ComplexAP(NamedTuple):
     """The parts of an embedded value, as CycScalar.embed rounds them."""
 
     re: object

@@ -56,6 +56,14 @@ def test_imports_leave_numpy_unloaded():
     assert _fresh_interpreter_exit_code(code) == 0
 
 
+def test_imports_leave_dataclasses_unloaded():
+    # every record is a NamedTuple: dataclasses would load inspect, ast, dis
+    # and tokenize and exec its generated methods in every fresh process
+    names = ", ".join(m.__name__ for m in MODULES)
+    code = f"import sys, {names}; sys.exit(bool({{'dataclasses', 'inspect'}} & sys.modules.keys()))"
+    assert _fresh_interpreter_exit_code(code) == 0
+
+
 def test_quantum_group_leaves_rt_torus_unloaded():
     # quantum_group builds on scalar and linalg only
     code = "import sys, thetaforge.quantum_group; sys.exit('thetaforge.rt_torus' in sys.modules)"

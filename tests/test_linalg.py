@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaforge import linalg, rt_torus
-from thetaforge.scalar import CycScalar, euler_phi, t_power
+from thetaforge.scalar import CycScalar, euler_phi, t_power, t_powers
 
 
 def _schoolbook(a, b):
@@ -189,7 +189,8 @@ def test_shift_sums_width_counts_repeated_terms(width, r):
 def _shift_oracle(terms, vec):
     """sum(t^e * vec[s]) over the terms (s, e), by schoolbook products."""
     r = vec[0].r
-    return sum((vec[s] * t_power(r, e) for s, e in terms), CycScalar.zero(r))
+    roots = [CycScalar(r, x.num) for x in t_powers(r)]  # unshared, so * multiplies out
+    return sum((vec[s] * roots[e] for s, e in terms), CycScalar.zero(r))
 
 
 def test_fast_paths_are_taken(monkeypatch):

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -57,10 +56,10 @@ def test_all_relations_hold():
 @pytest.mark.parametrize(
     "broken",
     [
-        lambda rep: replace(rep, K=linalg.mat_scale(2, rep.K)),  # K^{4r} != 1
-        lambda rep: replace(rep, K=linalg.mat_scale(0, rep.K)),  # K singular
-        lambda rep: replace(rep, X=linalg.mat_scale(2, rep.X)),  # [X, Y] off by 2
-        lambda rep: replace(rep, X=rep.Y),  # KX != t^2 XK
+        lambda rep: rep._replace(K=linalg.mat_scale(2, rep.K)),  # K^{4r} != 1
+        lambda rep: rep._replace(K=linalg.mat_scale(0, rep.K)),  # K singular
+        lambda rep: rep._replace(X=linalg.mat_scale(2, rep.X)),  # [X, Y] off by 2
+        lambda rep: rep._replace(X=rep.Y),  # KX != t^2 XK
     ],
     ids=["K_times_2", "K_zero", "X_times_2", "X_is_Y"],
 )
@@ -187,6 +186,20 @@ def test_verlinde_diagonalises_fusion():
                 for i in range(1, r)
             ]
             assert linalg.mat_eq(got, want), (r, a)
+
+
+def test_records_are_immutable_values():
+    rep = irrep(3, 5)
+    assert rep == irrep(3, 5) and hash(rep) == hash(irrep(3, 5))
+    assert rep != irrep(2, 5)
+    assert repr(rep).startswith("QGroupRep(k=3, r=5, X=((")
+    graph = theta_graph()
+    assert graph == TrivalentGraph(vertices=(0, 1), edges=((0, 1),) * 3)
+    assert hash(graph) == hash(theta_graph()) and graph != dumbbell_graph()
+    assert repr(graph) == "TrivalentGraph(vertices=(0, 1), edges=((0, 1), (0, 1), (0, 1)))"
+    for record, field in ((rep, "k"), (rep, "X"), (graph, "edges"), (graph, "genus")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
 
 
 def test_graph_validation():

@@ -12,7 +12,7 @@ from thetaforge.rt_torus import (
     GENERIC,
     TorusSkein,
     _exact_proportionality,
-    _gap_inverses,
+    _gap_product_inverses,
     _kp_norm,
     _kp_sum,
     _kp_terms,
@@ -777,14 +777,35 @@ def test_newton_level_solve_matches_rowspan(r):
 
 @pytest.mark.parametrize("r", range(2, 25))
 def test_gap_inverses(r):
-    gaps = _gap_inverses(r)
-    assert len(gaps) == r and gaps[0] is None
-    for k in range(1, r):
-        assert (t_power(r, 4 * k) - 1) * gaps[k] == 1
+    # entry b inverts the product of the node gaps w^i - 1, i <= b, w = t^4
+    scales = _gap_product_inverses(r)
+    assert len(scales) == r
+    product = CycScalar.one(r)
+    for b, scale in enumerate(scales):
+        if b:
+            product = product * (t_power(r, 4 * b) - 1)
+        assert product * scale == 1, b
+
+
+def test_newton_levels_take_no_field_inverse(monkeypatch):
+    # levels p >= 1 scale by closed-form gap products, even at a cold order
+    r = 13
+    m, _ = rho_word_exact([("T", 1), ("S", 1), ("T", -2), ("S", 1)], r)
+    _gap_product_inverses.cache_clear()
+    real_inverse = CycScalar.inverse
+    calls = []
+
+    def inverse(self):
+        calls.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(CycScalar, "inverse", inverse)
+    levels = [rt_torus._solve_level(m, p, r) for p in range(1, r - 1)]
+    assert any(levels) and not calls
 
 
 def test_skein_from_matrix_reuses_per_order_constants(monkeypatch):
-    # the gap inverses and the level-0 span are built once per r
+    # the level-0 span, with its pivot inverses, is built once per r
     r = 9
     m, _ = rho_word_exact([("T", 1), ("S", 1), ("T", -2), ("S", 1)], r)
     first = skein_from_matrix(m, r)

@@ -358,9 +358,10 @@ def test_times_root_matches_product(data):
     num = data.draw(st.lists(st.integers(-(2**70), 2**70), min_size=phi, max_size=phi))
     den = data.draw(st.one_of(st.just(1), st.integers(2, 2**40)))
     x = CycScalar(r, num, den)
-    got = x.times_root(e)
-    want = x * t_power(r, e)
-    assert (got.num, got.den) == (want.num, want.den)
+    want = x * CycScalar(r, t_power(r, e).num)  # no shared t^e: the schoolbook product
+    # a product with the shared t^e, on either side, is the shift
+    for got in (x.times_root(e), x * t_power(r, e), t_power(r, e) * x):
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 @pytest.mark.parametrize("r", range(2, 25))
@@ -388,6 +389,16 @@ def test_root_exponent_rejects_non_roots(r):
         assert qint(2, r).root_exponent() == 0
     elif r > 3:
         assert qint(2, r).root_exponent() is None
+
+
+def test_embedded_parts_are_an_immutable_value():
+    x, y = qint(2, 5).embed(), qint(2, 5).embed()
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != t_power(5, 1).embed()
+    assert repr(x) == f"ComplexAP(re={x.re!r}, im={x.im!r})"
+    assert x.to_mpc() == mpmath.mpc(x.re, x.im)
+    with pytest.raises(AttributeError):
+        x.re = 0
 
 
 # -- shared instances -----------------------------------------------------------

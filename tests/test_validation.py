@@ -83,6 +83,8 @@ CASES = [
     ("graph_vertexless", lambda: qg.TrivalentGraph((), ()), ValueError, "single circle"),
     ("graph_endpoint", lambda: qg.TrivalentGraph((0, 1), ((0, 1), (0, 1), (0, 2))), ValueError, "not a vertex"),
     ("graph_connected", _disconnected, ValueError, "connected"),
+    ("graph_replace_degree", lambda: qg.theta_graph()._replace(edges=((0, 1),) * 2), ValueError, "degree 3"),
+    ("graph_replace_circle", lambda: qg.circle_graph()._replace(edges=()), ValueError, "single circle"),
     ("caterpillar_genus", lambda: qg.caterpillar_graph(0), ValueError, "genus"),
     ("verlinde_genus", lambda: qg.verlinde_numeric(0, 5), ValueError, "genus"),
 ]
