@@ -57,10 +57,14 @@ def _zeta_table(r: int):
     return tuple(out)
 
 
+def _check_r(r):
+    if not isinstance(r, int) or r < 2:
+        raise ValueError(f"r must be >= 2 and an integer, not {r!r}")
+
+
 def weyl_cos_matrix(obs, r: int):
     """Matrix of Op(2cos 2pi(px+qy)) on the zeta basis."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    _check_r(r)
     p, q = obs
     n = r - 1
     zero = CycScalar.zero(r)
@@ -132,6 +136,7 @@ def equivalence_check(r: int):
     """
     from .rt_torus import rt_rep_matrix
 
+    _check_r(r)
     bound = 3 * r
     checked = 0
     mismatches = []

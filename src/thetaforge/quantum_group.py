@@ -92,18 +92,15 @@ def irrep(k: int, r: int) -> QGroupRep:
 
 
 def dual_rep(k: int, r: int) -> QGroupRep:
-    """The action on the dual basis e^j of V^{k*}."""
-    if not 1 <= k <= r - 1:
-        raise ValueError(f"k must lie in [1, {r - 1}]")
-    X, Y, K = _empty(k, r), _empty(k, r), _empty(k, r)
-    mt2 = -t_power(r, 2)
-    mtm2 = -t_power(r, -2)
-    for i in range(k):
-        if i - 1 >= 0:
-            X[i - 1][i] = mt2 * qint(i, r)
-        if i + 1 < k:
-            Y[i + 1][i] = mtm2 * qint(k - 1 - i, r)
-        K[i][i] = t_power(r, (k - 1) - 2 * i)
+    """V^{k*}, the contragredient of irrep(k, r), on the dual basis e^j.
+
+    g acts as the transpose of S(g), for the antipode S(X) = -K X K^{-1}
+    = -t^2 X, S(Y) = -K Y K^{-1} = -t^{-2} Y and S(K) = K^{-1}.
+    """
+    std = irrep(k, r)
+    X = linalg.mat_scale(-t_power(r, 2), list(zip(*std.X)))
+    Y = linalg.mat_scale(-t_power(r, -2), list(zip(*std.Y)))
+    K = [[x.inverse() if x else x for x in row] for row in std.K]  # diagonal
     return QGroupRep(k, r, _freeze(X), _freeze(Y), _freeze(K))
 
 
@@ -121,8 +118,7 @@ def d_iso(k: int, r: int):
     nu = i t = t^{r+1} is always the branch taken (the other choice only
     flips the global sign, which intertwines equally well).
     """
-    if not 1 <= k <= r - 1:
-        raise ValueError(f"k must lie in [1, {r - 1}]")
+    std, dual = irrep(k, r), dual_rep(k, r)
     denom = qint_factorial(k - 1, r).inverse()
     D = _empty(k, r)
     for i in range(k):  # column e^j with 2j = 2i-(k-1); row e_{-j} = k-1-i
@@ -132,16 +128,10 @@ def d_iso(k: int, r: int):
             * qint_factorial(k - 1 - i, r)
             * denom
         )
-    if not _intertwines(D, dual_rep(k, r), irrep(k, r)):
+    pairs = ((dual.X, std.X), (dual.Y, std.Y), (dual.K, std.K))
+    if not all(linalg.mat_eq(linalg.mat_mul(D, a), linalg.mat_mul(b, D)) for a, b in pairs):
         raise ArithmeticError(f"the nu = i*t matrix does not intertwine V^{k}* with V^{k}")
     return D
-
-
-def _intertwines(D, dual: QGroupRep, std: QGroupRep) -> bool:
-    for g_dual, g_std in ((dual.X, std.X), (dual.Y, std.Y), (dual.K, std.K)):
-        if not linalg.mat_eq(linalg.mat_mul(D, g_dual), linalg.mat_mul(g_std, D)):
-            return False
-    return True
 
 
 # -- the fusion ring -----------------------------------------------------------

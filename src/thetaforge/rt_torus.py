@@ -220,6 +220,7 @@ def wilson_matrix(p: int, q: int, n: int, r: int):
 
 def hopf_gram(r: int):
     """Gram matrix [jk] of the Hopf pairing on V^1..V^{r-1}."""
+    _check_order(r)
     return [[qint(j * k, r) for k in range(1, r)] for j in range(1, r)]
 
 
@@ -348,12 +349,12 @@ def _kp_terms(a, b, c, d, r, start):
     return terms
 
 
-def _kp_sum(a, b, c, d, r, start):
-    """The closed-form sum of _kp_terms as a dense matrix."""
+def _kp_sum(terms, r):
+    """The closed-form sum as a dense matrix, from its _kp_terms."""
     n = r - 1
     zero, roots = CycScalar.zero(r), t_powers(r)
     mat = [[zero] * n for _ in range(n)]
-    for (row, col), exponents in _kp_terms(a, b, c, d, r, start).items():
+    for (row, col), exponents in terms.items():
         entry = roots[exponents[0]]
         for e in exponents[1:]:
             entry = entry + roots[e]
@@ -396,18 +397,18 @@ def rho_kac_peterson(h: SL2Z, r: int) -> KacPeterson:
     h.check()
     a, b, c, d = h.d, h.b, h.c, h.a  # word-reversal antiautomorphism
     ref, s_count = rho_word_exact(sl2z_decompose(h), r)
-    start, window = 0, "integer"
-    mat = _kp_sum(a, b, c, d, r, start)
+    window, terms = "integer", _kp_terms(a, b, c, d, r, 0)
+    mat = _kp_sum(terms, r)
     if linalg.mat_is_zero(mat) and not c % 2:
-        start, window = 1, "half-integer"
-        mat = _kp_sum(a, b, c, d, r, start)
+        window, terms = "half-integer", _kp_terms(a, b, c, d, r, 1)
+        mat = _kp_sum(terms, r)
     ratio = _exact_proportionality(mat, ref, r)
     if not ratio:
         raise ArithmeticError(
             f"closed form for {tuple(h)} is not proportional to the word product"
         )
     norm = ratio * ratio.conjugate()
-    frob = _kp_norm(_kp_terms(a, b, c, d, r, start), r)
+    frob = _kp_norm(terms, r)
     if frob != norm * eta_inverse_square(r) ** s_count * (r - 1):
         raise ArithmeticError(f"word product for {tuple(h)} is not unitary up to scale")
     return KacPeterson(mat, embed_matrix([[ratio.conjugate()]], norm)[0][0], window)

@@ -8,14 +8,14 @@ testing, inversion and linear algebra are exact.  A quotient by the
 cyclotomic polynomial, rather than by x^{4r}-1, is essential: the former
 is a field, the latter has zero divisors.  The constructor reduces and
 normalizes; the constructors and operations whose result is already in
-that form (zero, integers, negation, shifts by roots of unity, t_power,
-sums and differences over denominator 1) store it directly.  Instances are immutable, so each order r keeps one
-shared zero and one shared t^e for each e mod 4r: CycScalar.zero,
-CycScalar.one, t_power and the table t_powers hand those out, x * 0 is
-the shared zero, a product with a shared t^e (found by its identity) is
-the other factor's times_root(e), a shift of a shared t^f is the shared
-t^{f+e}, and == answers True for one object without comparing
-coefficients.
+that form (zero, rationals by from_fraction, negation, shifts by roots
+of unity, t_power, sums and differences over denominator 1) store it
+directly.  Instances are immutable, so each order r keeps one shared
+zero and one shared t^e for each e mod 4r: CycScalar.zero, CycScalar.one,
+t_power and the table t_powers hand those out, x * 0 is the shared zero,
+a product with a shared t^e (found by its identity) is the other
+factor's times_root(e), a shift of a shared t^f is the shared t^{f+e},
+and == answers True for one object without comparing coefficients.
 
 Inverses and complex conjugates come from the Galois maps
 zeta -> zeta^k.  The complex embedding is fixed point: one exact integer
@@ -51,7 +51,7 @@ _FRAC_BITS = DEFAULT_PREC_BITS + 16
 # integer polynomials (dense tuples, constant term first)
 # ---------------------------------------------------------------------------
 
-def poly_mul(a, b):
+def _poly_mul(a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -63,42 +63,31 @@ def poly_mul(a, b):
     return tuple(out)
 
 
-def poly_trim(a):
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return tuple(a[:n])
-
-
-def poly_divmod_exact(n, d):
-    """Quotient/remainder of integer polynomials; requires exact leading division."""
-    n = list(n)
-    q = [0] * max(len(n) - len(d) + 1, 0)
-    while len(poly_trim(n)) >= len(d):
-        n = list(poly_trim(n))
-        shift = len(n) - len(d)
-        lead, rem = divmod(n[-1], d[-1])
-        if rem:
-            raise ArithmeticError("non-exact polynomial division")
-        q[shift] = lead
-        for i, c in enumerate(d):
-            n[shift + i] -= lead * c
-    return poly_trim(q), poly_trim(n)
+def _divide_monic(n, d):
+    """n / d by synthetic division, for a monic d; raises ArithmeticError on a remainder."""
+    k = len(d) - 1
+    tail = [(j, c) for j, c in enumerate(d[:k]) if c]
+    rem = list(n)
+    q = [0] * (len(n) - k)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = rem[i + k]
+        if c:
+            for j, dc in tail:
+                rem[i + j] -= c * dc
+    if any(rem[:k]):
+        raise ArithmeticError("non-exact polynomial division")
+    return tuple(q)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(m: int):
-    """Coefficients of the m-th cyclotomic polynomial Phi_m.
-
-    Computed by dividing x^m - 1 by Phi_d for all proper divisors d of m.
-    """
+    """Phi_m, constant term first: x^m - 1 divided by the monic Phi_d of each proper divisor d."""
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly = tuple([-1] + [0] * (m - 1) + [1])
+    poly = (-1,) + (0,) * (m - 1) + (1,)
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = poly_divmod_exact(poly, cyclotomic_poly(d))
-            assert rem == ()
+            poly = _divide_monic(poly, cyclotomic_poly(d))
     return poly
 
 
@@ -193,12 +182,6 @@ class CycScalar:
         return t_powers(r)[0]
 
     @classmethod
-    def from_int(cls, n, r):
-        vec = [0] * euler_phi(4 * r)
-        vec[0] = n
-        return _from_normalized(r, tuple(vec), 1)
-
-    @classmethod
     def from_fraction(cls, q, r):
         q = Fraction(q)
         vec = [0] * euler_phi(4 * r)
@@ -278,7 +261,7 @@ class CycScalar:
         e = _SHARED_ROOT_EXPONENT.get(id(self))
         if e is not None:
             return other.times_root(e)
-        prod = list(poly_mul(self.num, other.num))
+        prod = list(_poly_mul(self.num, other.num))
         _reduce_mod_cyclotomic(prod, 4 * self.r)
         return CycScalar(self.r, prod, self.den * other.den)
 
@@ -335,8 +318,8 @@ class CycScalar:
         m = 4 * self.r
         cof = [1]
         for k in _galois_units(m):
-            cof = _reduce_mod_cyclotomic(list(poly_mul(cof, _galois(self.num, k, m))), m)
-        norm = _reduce_mod_cyclotomic(list(poly_mul(self.num, cof)), m)
+            cof = _reduce_mod_cyclotomic(list(_poly_mul(cof, _galois(self.num, k, m))), m)
+        norm = _reduce_mod_cyclotomic(list(_poly_mul(self.num, cof)), m)
         if any(norm[1:]):
             raise ArithmeticError("norm is not rational; Phi reduction broken")
         return CycScalar(self.r, [c * self.den for c in cof], norm[0])

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,42 @@ def test_modules_use_every_imported_name(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(getattr(module, "__all__", ()))
     assert imported <= used, sorted(imported - used)
+
+
+def _referenced_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if not hasattr(m, "__all__")], ids=lambda m: m.__name__
+)
+def test_public_names_have_a_user_elsewhere(module):
+    # without __all__ every public top-level name is an export: each must
+    # be used by another file of the package, its tests or its benchmark
+    public = set()
+    for node in _syntax_tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            public.update(t.id for t in targets if isinstance(t, ast.Name))
+    public = {name for name in public if not name.startswith("_")}
+    own = Path(module.__file__).resolve()
+    root = own.parents[2]
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            if path.resolve() != own:
+                used |= _referenced_names(path)
+    assert public <= used, sorted(public - used)
 
 
 def _public_functions(module):

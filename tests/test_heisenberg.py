@@ -326,7 +326,7 @@ def test_f_of_t_rep_unitary_scaled():
         adj = [[rep[j][i].conjugate() for j in range(N)] for i in range(N)]
         prod = linalg.mat_mul(rep, adj)
         want = linalg.mat_scale(
-            CycScalar.from_int(N, N // 2), linalg.mat_identity(N, CycScalar.one(N // 2))
+            CycScalar.from_fraction(N, N // 2), linalg.mat_identity(N, CycScalar.one(N // 2))
         )
         assert linalg.mat_eq(prod, want)
 

@@ -85,6 +85,33 @@ def test_dual_rep_k_diagonal():
     assert rep.K[1][1] == t_power(6, -1)
 
 
+def _dual_oracle(k, r):
+    """The action on the dual basis e^i of V^{k*}, written out:
+    X e^i = -t^2 [i] e^{i-1}, Y e^i = -t^{-2} [k-1-i] e^{i+1},
+    K e^i = t^{(k-1)-2i} e^i."""
+    zero = CycScalar.zero(r)
+    X, Y, K = ([[zero] * k for _ in range(k)] for _ in range(3))
+    for i in range(k):
+        if i >= 1:
+            X[i - 1][i] = -t_power(r, 2) * qint(i, r)
+        if i + 1 < k:
+            Y[i + 1][i] = -t_power(r, -2) * qint(k - 1 - i, r)
+        K[i][i] = t_power(r, (k - 1) - 2 * i)
+    return X, Y, K
+
+
+def test_dual_rep_is_the_written_out_action():
+    # the contragredient through the antipode equals the hand-written
+    # dual action entry for entry
+    def parts(mat):
+        return [[(x.num, x.den) for x in row] for row in mat]
+
+    for r in range(2, 13):
+        for k in range(1, r):
+            rep = dual_rep(k, r)
+            assert [parts(g) for g in (rep.X, rep.Y, rep.K)] == [parts(g) for g in _dual_oracle(k, r)], (k, r)
+
+
 def test_d_iso_trivial():
     iso = d_iso(1, 5)
     assert iso[0][0] == CycScalar.one(5)
@@ -162,7 +189,7 @@ def test_quantum_dimension_eigenvector():
         for a in range(1, r):
             mat = fusion_matrix(a, r)
             image = [
-                sum((CycScalar.from_int(mat[p][n], r) * qdim[n] for n in range(r - 1)),
+                sum((CycScalar.from_fraction(mat[p][n], r) * qdim[n] for n in range(r - 1)),
                     CycScalar.zero(r))
                 for p in range(r - 1)
             ]
@@ -179,7 +206,7 @@ def test_verlinde_diagonalises_fusion():
         norm = eta_inverse_square(r)
         zero = CycScalar.zero(r)
         for a in range(1, r):
-            fusion = [[CycScalar.from_int(n, r) for n in row] for row in fusion_matrix(a, r)]
+            fusion = [[CycScalar.from_fraction(n, r) for n in row] for row in fusion_matrix(a, r)]
             got = linalg.mat_mul(linalg.mat_mul(gram, fusion), gram)
             want = [
                 [norm * qint(a * j, r) / qint(j, r) if i == j else zero for j in range(1, r)]

@@ -136,7 +136,7 @@ def test_rt_rep_examples():
 
     for r in (2, 3, 5):
         two_id = linalg.mat_scale(
-            CycScalar.from_int(2, r), linalg.mat_identity(r - 1, CycScalar.one(r))
+            CycScalar.from_fraction(2, r), linalg.mat_identity(r - 1, CycScalar.one(r))
         )
         assert linalg.mat_eq(rt_rep_matrix((0, 0), r), two_id)
     # int and Fraction coefficients act as the field elements they name
@@ -285,7 +285,7 @@ def test_wilson_matrix():
         for n in range(0, r):
             lhs = wilson_matrix(1, 1, r + n, r)
             rhs = linalg.mat_scale(
-                CycScalar.from_int(-1, r), wilson_matrix(1, 1, r - n, r)
+                CycScalar.from_fraction(-1, r), wilson_matrix(1, 1, r - n, r)
             )
             assert linalg.mat_eq(lhs, rhs)
     with pytest.raises(ValueError):
@@ -300,7 +300,7 @@ def test_hopf_gram():
     assert g3[1][1] == -CycScalar.one(3)
     sq = linalg.mat_mul(g3, g3)
     assert linalg.mat_eq(
-        sq, linalg.mat_scale(CycScalar.from_int(2, 3), linalg.mat_identity(2, CycScalar.one(3)))
+        sq, linalg.mat_scale(CycScalar.from_fraction(2, 3), linalg.mat_identity(2, CycScalar.one(3)))
     )
     for r in range(2, 13):
         g = hopf_gram(r)
@@ -555,10 +555,10 @@ def test_window_rule_holds_on_the_box():
         for h in _BOX:
             a, b, c, d = h.d, h.b, h.c, h.a
             ref, _ = rho_word_exact(sl2z_decompose(h), r)
-            mat = _kp_sum(a, b, c, d, r, 0)
+            mat = _kp_sum(_kp_terms(a, b, c, d, r, 0), r)
             if linalg.mat_is_zero(mat):
                 assert not c % 2, (tuple(h), r)
-                mat = _kp_sum(a, b, c, d, r, 1)
+                mat = _kp_sum(_kp_terms(a, b, c, d, r, 1), r)
             assert _exactly_proportional(mat, ref), (tuple(h), r)
 
 
@@ -585,11 +585,30 @@ def test_kp_sum_and_norm_match_per_entry_oracles():
         for h in hs:
             a, b, c, d = h.d, h.b, h.c, h.a
             for start in (0, 1) if c % 2 == 0 else (0,):
-                mat = _kp_sum(a, b, c, d, r, start)
+                terms = _kp_terms(a, b, c, d, r, start)
+                mat = _kp_sum(terms, r)
                 assert _parts(mat) == _parts(_kp_oracle(a, b, c, d, r, start)), (tuple(h), r, start)
                 want = sum((x * x.conjugate() for row in mat for x in row), CycScalar.zero(r))
-                got = _kp_norm(_kp_terms(a, b, c, d, r, start), r)
+                got = _kp_norm(terms, r)
                 assert (got.num, got.den) == (want.num, want.den), (tuple(h), r, start)
+
+
+def test_kac_peterson_builds_each_window_once(monkeypatch):
+    # one term list per window feeds both the matrix and the norm: one
+    # _kp_terms call for odd c, a second only when an even c needs the
+    # half-integer window
+    calls = []
+    real = rt_torus._kp_terms
+    monkeypatch.setattr(rt_torus, "_kp_terms", lambda *args: calls.append(args) or real(*args))
+    windows = set()
+    for h in (S, T, SL2Z(5, 2, 7, 3), SL2Z(1, 0, 2, 1), SL2Z(1, 1, -2, -1), SL2Z(3, 2, 4, 3)):
+        for r in range(2, 9):
+            calls.clear()
+            kp = rho_kac_peterson(h, r)
+            windows.add(kp.window)
+            assert len(calls) == (2 if kp.window == "half-integer" else 1), (tuple(h), r)
+            assert len(calls) == 1 or not h.c % 2, (tuple(h), r)
+    assert windows == {"integer", "half-integer"}
 
 
 def test_kac_peterson_raises_on_wrong_norm(monkeypatch):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from thetaforge.scalar import (
     DEFAULT_PREC_BITS,
+    ComplexAP,
     CycScalar,
     LaurentPoly,
+    _divide_monic,
     _root_powers,
     cyclotomic_poly,
     euler_phi,
@@ -26,6 +28,30 @@ def test_cyclotomic_small():
     assert cyclotomic_poly(2) == (1, 1)
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_products_and_degrees():
+    # prod_{d | m} Phi_d = x^m - 1, and deg Phi_m counts the units mod m
+    for m in range(1, 301):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_poly(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    if a:
+                        for j, b in enumerate(phi):
+                            out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+        assert len(cyclotomic_poly(m)) - 1 == sum(gcd(u, m) == 1 for u in range(1, m + 1)), m
+
+
+def test_inexact_monic_division_raises():
+    # x^2 + 1 = (x - 1)(x + 1) + 2
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        _divide_monic((1, 0, 1), (1, 1))
+    assert _divide_monic((-1, 0, 1), (1, 1)) == (-1, 1)
 
 
 def test_root_of_unity_relations():
@@ -93,7 +119,7 @@ def test_field_laws_random(triple):
 
 def test_division():
     a = qint(2, 5)
-    b = t_power(5, 3) + CycScalar.from_int(2, 5)
+    b = t_power(5, 3) + CycScalar.from_fraction(2, 5)
     assert (a * b) / b == a
 
 
@@ -381,7 +407,7 @@ def test_root_exponent_inverts_t_power(r, e):
 
 @pytest.mark.parametrize("r", range(2, 17))
 def test_root_exponent_rejects_non_roots(r):
-    assert CycScalar.from_int(2, r).root_exponent() is None
+    assert CycScalar.from_fraction(2, r).root_exponent() is None
     assert (t_power(r, 1) / 2).root_exponent() is None
     assert CycScalar.zero(r).root_exponent() is None
     # [2] = 2 cos(pi/r) has modulus 1 only at r = 3, where it is 1 = t^0
@@ -393,6 +419,7 @@ def test_root_exponent_rejects_non_roots(r):
 
 def test_embedded_parts_are_an_immutable_value():
     x, y = qint(2, 5).embed(), qint(2, 5).embed()
+    assert type(x) is ComplexAP and x == ComplexAP(x.re, x.im)
     assert x == y and hash(x) == hash(y) and x is not y
     assert x != t_power(5, 1).embed()
     assert repr(x) == f"ComplexAP(re={x.re!r}, im={x.im!r})"
@@ -427,7 +454,7 @@ def test_equal_copy_of_a_shared_instance(r):
     zero = CycScalar(r, (), 7)
     assert zero is not CycScalar.zero(r)
     assert zero == CycScalar.zero(r) and hash(zero) == hash(CycScalar.zero(r))
-    one = CycScalar.from_int(1, r)
+    one = CycScalar.from_fraction(1, r)
     assert one is not CycScalar.one(r) and one == CycScalar.one(r) and one == 1
     assert copy != t_power(r, 4) and zero != one
 

@@ -55,8 +55,12 @@ CASES = [
     ("rho_word_r1", lambda: rt.rho_word([("S", 1)], 1), ValueError, "r >= 2"),
     ("rho_kac_peterson_r1", lambda: rt.rho_kac_peterson(SL2Z(1, 1, 0, 1), 1), ValueError, "r >= 2"),
     ("f_of_twist_solve_r1", lambda: rt.f_of_twist_solve(1), ValueError, "r >= 2"),
+    ("hopf_gram_r1", lambda: rt.hopf_gram(1), ValueError, "r >= 2"),
     # pillowcase
     ("weyl_cos_r1", lambda: pillowcase.weyl_cos_matrix((1, 0), 1), ValueError, "r must be >= 2"),
+    ("weyl_cos_float_r", lambda: pillowcase.weyl_cos_matrix((1, 0), 3.0), ValueError, "r must be >= 2 and an integer, not 3.0"),
+    ("equivalence_float_r", lambda: pillowcase.equivalence_check(3.0), ValueError, "r must be >= 2 and an integer, not 3.0"),
+    ("svn_float_r", lambda: pillowcase.svn_irreducibility(3.0), ValueError, "r must be >= 2 and an integer, not 3.0"),
     ("wilson_decompose_dimension", lambda: pillowcase.wilson_decompose(1, 0, -1), ValueError, "dimension"),
     # heisenberg
     ("heis_alg_odd_n", lambda: hz.HeisAlgElt(3), ValueError, "even"),
