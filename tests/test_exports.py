@@ -132,9 +132,8 @@ def test_public_names_have_a_user_elsewhere(module):
     for node in _syntax_tree(module).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             public.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            public.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Assign):
+            public.update(t.id for t in node.targets if isinstance(t, ast.Name))
     public = {name for name in public if not name.startswith("_")}
     own = Path(module.__file__).resolve()
     root = own.parents[2]
