@@ -76,9 +76,9 @@ def finite_mul(x: FiniteHeisElt, y: FiniteHeisElt) -> FiniteHeisElt:
 
 
 def _field_order(N: int) -> int:
-    """The order r with CycScalar(r) = Q(zeta_{2N}), t = exp(i*pi/N): N // 2 for even N >= 2."""
-    if N % 2 or N < 2:
-        raise ValueError("N must be even and >= 2")
+    """The order r with CycScalar(r) = Q(zeta_{2N}), t = exp(i*pi/N): N // 2 for an even integer N >= 2."""
+    if not isinstance(N, int) or N % 2 or N < 2:
+        raise ValueError(f"N must be an even integer >= 2, not {N!r}")
     return N // 2
 
 
@@ -265,11 +265,11 @@ def matrix_to_heisenberg(mat, N: int) -> HeisAlgElt:
     Inverts the character sum on each shift diagonal:
     c(p,q) = t^{pq} N^{-1} sum_j t^{2jq} mat[j+p, j].
     """
+    r = _field_order(N)
     if len(mat) != N or any(len(row) != N for row in mat):
         raise ValueError("matrix size does not match N")
-    if any(type(x) is not CycScalar for row in mat for x in row):
-        raise TypeError("matrix_to_heisenberg needs CycScalar entries")
-    r = _field_order(N)
+    if linalg.matrix_order(mat) != r:
+        raise ValueError(f"matrix_to_heisenberg needs entries of order r={r}")
     terms = {}
     for p in range(N):
         diag = [mat[(j + p) % N][j] for j in range(N)]

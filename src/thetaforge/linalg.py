@@ -2,7 +2,8 @@
 
 Matrices are lists (or tuples) of rows, a vector an n x 1 column.
 ``mat_mul`` multiplies CycScalar entries by the first of two rules that
-applies: when the nonzero entries of one operand are all roots of unity,
+applies: when the nonzero entries of one operand are all roots of unity
+(CycScalar.root_exponent, which knows a shared t^e by its identity),
 each t^e of it is an exponent shift of the other operand's entries; any
 other pair goes through Kronecker-packed exact dot products.  Both rules
 pack into one format, packed and unpacked in C by ``struct`` while a slot
@@ -20,7 +21,7 @@ from bisect import insort
 from math import lcm
 from operator import itemgetter, lshift, mul
 
-from .scalar import _SHARED_ROOT_EXPONENT, CycScalar, euler_phi
+from .scalar import CycScalar, euler_phi
 
 # slot width in bits -> struct code of a signed integer of that width
 _STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
@@ -36,8 +37,8 @@ def _slot_width(least):
     return next((w for w in _STRUCT_CODES if w >= least), least)
 
 
-def _order(*mats):
-    """The one cyclotomic order r of the entries of mats.
+def matrix_order(*mats):
+    """The one cyclotomic order r of the entries of mats, None if they have none.
 
     TypeError for an entry that is not a CycScalar, ValueError for mixed
     orders.
@@ -47,7 +48,7 @@ def _order(*mats):
         for row in mat:
             for x in row:
                 if type(x) is not CycScalar:
-                    raise TypeError(f"mat_mul needs CycScalar entries, got {type(x).__name__}")
+                    raise TypeError(f"needs CycScalar entries, got {type(x).__name__}")
                 if x.r != r:
                     if r is not None:
                         raise ValueError(f"mixed cyclotomic orders r={r} and r={x.r}")
@@ -58,23 +59,18 @@ def _order(*mats):
 def _root_terms(lines, zero):
     """Each line as the list of (s, e) for its nonzero entries, entry s ==
     t^e with 0 <= e < 4r; None when some entry is neither zero nor a power of t.
-
-    A shared t^e is found by its identity, any other entry by root_exponent.
     """
-    shared = _SHARED_ROOT_EXPONENT
     out = []
     for line in lines:
         terms = []
         for s, x in enumerate(line):
             if x is zero:
                 continue
-            e = shared.get(id(x))
+            e = x.root_exponent()
             if e is None:
-                e = x.root_exponent()
-                if e is None:
-                    if x:
-                        return None
-                    continue
+                if x:
+                    return None
+                continue
             terms.append((s, e))
         out.append(terms)
     return out
@@ -305,7 +301,7 @@ def mat_mul(a, b):
     m = len(b[0])
     if any(len(row) != k for row in a) or any(len(row) != m for row in b):
         raise ValueError("mat_mul shape mismatch")
-    return _product(a, b, _order(a, b))
+    return _product(a, b, matrix_order(a, b))
 
 
 def mat_add(a, b):
@@ -328,7 +324,7 @@ def mat_scale(c, a):
     column = [[x] for row in a for x in row]
     if type(c) is not CycScalar or not column or any(type(x) is not CycScalar for (x,) in column):
         return [[c * x for x in row] for row in a]
-    products = iter(_product(column, [[c]], _order([[c]], column)))
+    products = iter(_product(column, [[c]], matrix_order([[c]], column)))
     return [[next(products)[0] for _ in row] for row in a]
 
 

@@ -22,7 +22,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .scalar import CycScalar, t_powers
+from .scalar import CycScalar, check_order, t_powers
 
 
 class CosObservable(NamedTuple):
@@ -57,14 +57,9 @@ def _zeta_table(r: int):
     return tuple(out)
 
 
-def _check_r(r):
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be >= 2 and an integer, not {r!r}")
-
-
 def weyl_cos_matrix(obs, r: int):
     """Matrix of Op(2cos 2pi(px+qy)) on the zeta basis."""
-    _check_r(r)
+    check_order(r)
     p, q = obs
     n = r - 1
     zero = CycScalar.zero(r)
@@ -115,7 +110,7 @@ def wilson_decompose(p: int, q: int, n: int):
 def wilson_cos_matrix(p: int, q: int, n: int, r: int):
     """W_{gamma,n} recomposed through the cosine quantization."""
     cosines, constant = wilson_decompose(p, q, n)
-    size = r - 1
+    size = check_order(r) - 1
     acc = [[CycScalar.zero(r)] * size for _ in range(size)]
     for obs in cosines:
         acc = linalg.mat_add(acc, weyl_cos_matrix(obs, r))
@@ -132,11 +127,12 @@ def equivalence_check(r: int):
     for every (p,q) with |p|, |q| <= 3r, (6r+1)^2 pairs: wider than 4r,
     the period of both operators in p and in q.  The Weyl side folds its
     indices with its own zeta_fold, not the skein side's index_fold, so
-    the two sides share no code.
+    the two constructions share no code; only the check of r, by
+    scalar.check_order, is common to both.
     """
     from .rt_torus import rt_rep_matrix
 
-    _check_r(r)
+    check_order(r)
     bound = 3 * r
     checked = 0
     mismatches = []

@@ -22,6 +22,7 @@ from .scalar import (
     Combination,
     CycScalar,
     chebyshev_s,
+    check_order,
     eta_inverse_square,
     index_fold,
     qint,
@@ -147,9 +148,7 @@ class FusionElement(Combination):
     _MIXED = "mixed levels"
 
     def __init__(self, r, terms=()):
-        if r < 2:
-            raise ValueError("r must be >= 2")
-        super().__init__(r, terms)
+        super().__init__(check_order(r), terms)
 
     @classmethod
     def basis(cls, n, r):
@@ -294,8 +293,7 @@ def admissible_colorings(graph: TrivalentGraph, r: int):
     colored tries only their fusion range, which is exactly the colors that
     pass that vertex's check; any other vertex it completes is checked.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    check_order(r)
     n_edges = len(graph.edges)
     checks_after = [[] for _ in range(n_edges)]
     for slots in _incidence(graph).values():
@@ -340,8 +338,7 @@ def verlinde_numeric(genus: int, r: int) -> int:
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    check_order(r)
     total = CycScalar.zero(r)
     for j in range(1, r // 2 + 1):
         term = qint(j, r) ** (2 - 2 * genus)
@@ -353,7 +350,6 @@ def verlinde_numeric(genus: int, r: int) -> int:
 
 
 __all__ = [
-    "QGroupRep",
     "FusionElement",
     "TrivalentGraph",
     "irrep",

@@ -33,6 +33,7 @@ from .scalar import (
     CycScalar,
     LaurentPoly,
     chebyshev_s,
+    check_order,
     embed_matrix,
     eta_inverse_square,
     gauss_sum,
@@ -46,7 +47,7 @@ from .sl2z import SL2Z, check_word, sl2z_decompose
 GENERIC = "generic"
 
 
-def canonical_curve(p: int, q: int):
+def _canonical_curve(p: int, q: int):
     """(p,q) ~ (-p,-q); canonical has p > 0, or p = 0 and q > 0."""
     if p < 0 or (p == 0 and q < 0):
         return -p, -q
@@ -54,7 +55,7 @@ def canonical_curve(p: int, q: int):
 
 
 class TorusSkein(Combination):
-    """Formal combination of curve classes (p,q)_T, keyed by canonical_curve.
+    """Formal combination of curve classes (p,q)_T, keyed by _canonical_curve.
 
     The base is the mode: GENERIC (coefficients: Laurent polynomials in t)
     or an integer r >= 2 (coefficients: CycScalar at t = zeta_{4r}).
@@ -91,7 +92,7 @@ class TorusSkein(Combination):
         return zero._like({(p, q): zero._t(0)})
 
     def _fold(self, key):
-        return canonical_curve(*key), 1
+        return _canonical_curve(*key), 1
 
     def _basis_mul(self, key1, key2):
         (p, q), (a, b) = key1, key2
@@ -112,11 +113,6 @@ def project_solid_torus(s: TorusSkein):
     if s.base == GENERIC:
         raise ValueError("projection needs a reduced skein")
     return tuple(row[0] for row in rt_rep_matrix(s, s.base))
-
-
-def _check_order(r):
-    if not isinstance(r, int) or r < 2:
-        raise ValueError("representation needs an integer r >= 2")
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,13 +149,13 @@ def rt_rep_matrix(s, r: int):
     (16.8 -> 31.4 ms at r = 6, 60 -> 120 ms at r = 10).
     """
     if isinstance(s, tuple):
-        _check_order(r)
+        check_order(r)
     elif s.base == GENERIC or s.base != r:
         raise ValueError("representation needs matching reduced mode")
     n, period = r - 1, 4 * r
     fold = _fold_table(r)
     if isinstance(s, tuple):
-        p, q = canonical_curve(*s)
+        p, q = _canonical_curve(*s)
         pq = p * q
         down, up = (1 - p) % (2 * r), (1 + p) % (2 * r)
         zero, roots = CycScalar.zero(r), t_powers(r)
@@ -220,7 +216,7 @@ def wilson_matrix(p: int, q: int, n: int, r: int):
 
 def hopf_gram(r: int):
     """Gram matrix [jk] of the Hopf pairing on V^1..V^{r-1}."""
-    _check_order(r)
+    check_order(r)
     return [[qint(j * k, r) for k in range(1, r)] for j in range(1, r)]
 
 
@@ -253,7 +249,7 @@ def rho_word_exact(word, r: int):
     multiplies nothing.  The matrix returned has fresh rows.  ValueError
     for an r that is not an integer >= 2.
     """
-    _check_order(r)
+    check_order(r)
     mat, s_count = _rho_word_product(check_word(word), r)
     return [list(row) for row in mat], s_count
 
@@ -289,7 +285,7 @@ def curve_transform(h: SL2Z, p: int, q: int):
     generators: S rotates (p,q) -> (q,-p), T sends (1,0) -> (1,-1) and
     fixes (0,1).
     """
-    return canonical_curve(*h.check().inverse_transpose().apply(p, q))
+    return _canonical_curve(*h.check().inverse_transpose().apply(p, q))
 
 
 def f_of_twist_solve(r: int):
@@ -525,9 +521,7 @@ def skein_from_matrix(mat, r: int) -> TorusSkein:
     n = r - 1
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix size must be (r-1) x (r-1)")
-    if any(type(x) is not CycScalar for row in mat for x in row):
-        raise TypeError("skein_from_matrix needs CycScalar entries")
-    if any(x.r != r for row in mat for x in row):
+    if linalg.matrix_order(mat) != r:
         raise ValueError(f"skein_from_matrix needs entries of order r={r}")
     out, rest = TorusSkein.zero(r), mat
     for p in range(r - 2, -1, -1):
@@ -603,7 +597,6 @@ def presentation_check_generic():
 __all__ = [
     "GENERIC",
     "TorusSkein",
-    "canonical_curve",
     "project_solid_torus",
     "rt_rep_matrix",
     "wilson_matrix",

@@ -23,14 +23,16 @@ dot product of the coefficients against a cached table of 2**F cos and
 2**F sin of the root angles, then one rounding per part, with the error
 bound stated on CycScalar.embed.
 
-Also provided: quantized integers [n]; the Gauss sums and
-eta_inverse_square = sum_j [j]^2, the inverse square of the S-matrix
-normalization; Combination, the sparse sum of basis elements that
-Laurent polynomials, torus skeins, Heisenberg group-algebra elements and
-the fusion ring share; chebyshev_s, the Chebyshev recurrence
-S_{n+1} = x S_n - S_{n-1} in any of these rings; Laurent polynomials
-over Q for generic-parameter computations; and ComplexAP, the parts of
-an embedded value (arithmetic goes through to_mpc).
+Also provided: check_order, the one test that an order r is an integer
+>= 2, which the level-r constructions of every module run; quantized
+integers [n]; the Gauss sums and eta_inverse_square = sum_j [j]^2, the
+inverse square of the S-matrix normalization; Combination, the sparse
+sum of basis elements that Laurent polynomials, torus skeins, Heisenberg
+group-algebra elements and the fusion ring share; chebyshev_s, the
+Chebyshev recurrence S_{n+1} = x S_n - S_{n-1} in any of these rings;
+Laurent polynomials over Q for generic-parameter computations; and
+ComplexAP, the parts of an embedded value (arithmetic goes through
+to_mpc).
 """
 from __future__ import annotations
 
@@ -272,9 +274,9 @@ class CycScalar:
 
         A shared t^f (t_powers) gives the shared t^{f+e}.  Otherwise the
         coefficients rotate by e in Z[x]/(x^{2r} + 1), the wrapped part
-        negated since t^{2r} = -1.  When phi(4r) = 2r (r a power of two)
-        Phi_{4r} is x^{2r} + 1 and the rotation is the result; otherwise it
-        is reduced modulo Phi_{4r}, which divides x^{2r} + 1.  t^e is a unit
+        negated since t^{2r} = -1, and the rotation is reduced modulo
+        Phi_{4r}, which divides x^{2r} + 1; when phi(4r) = 2r (r a power of
+        two) the two are equal and the reduction leaves it.  t^e is a unit
         of Z[t], so the content and the denominator stay.  For e = 0 mod 4r,
         and for a zero self, it is self.
         """
@@ -288,10 +290,6 @@ class CycScalar:
         if not e or not any(num):
             return self
         cut = n - e % n
-        if len(num) == n:
-            if e < n:
-                return _from_normalized(r, (*map(neg, num[cut:]), *num[:cut]), self.den)
-            return _from_normalized(r, (*num[cut:], *map(neg, num[:cut])), self.den)
         vec = [*num, *[0] * (n - len(num))]
         if e < n:
             vec = [*map(neg, vec[cut:]), *vec[:cut]]
@@ -300,9 +298,14 @@ class CycScalar:
         return _from_normalized(r, tuple(_reduce_mod_cyclotomic(vec, 2 * n)), self.den)
 
     def root_exponent(self):
-        """The e in [0, 4r) with self == t^e, or None if self is no power of t."""
-        if self.den != 1:
-            return None
+        """The e in [0, 4r) with self == t^e, or None if self is no power of t.
+
+        A shared t^e is found by its identity, any other element by its
+        coefficients.
+        """
+        e = _SHARED_ROOT_EXPONENT.get(id(self))
+        if e is not None or self.den != 1:
+            return e
         return _root_powers(4 * self.r)[1].get(self.num)
 
     def inverse(self):
@@ -502,14 +505,21 @@ def t_power(r: int, e: int) -> CycScalar:
     return t_powers(r)[e % (4 * r)]
 
 
+def check_order(r):
+    """r, if it is an integer >= 2: the order every level-r object needs."""
+    if not isinstance(r, int) or r < 2:
+        raise ValueError(f"r must be an integer >= 2, not {r!r}")
+    return r
+
+
 def index_fold(j: int, r: int):
     """(sign, index) with V^j = sign * V^index, index in [1, r-1].
 
     V^r = 0, V^{j+2r} = V^j, V^{r+j} = -V^{r-j} (hence V^{-j} = -V^j).
     The quantized integers obey the same rule: [j] = sign * [index].
+    ValueError, by check_order, for an r that is not an integer >= 2.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    check_order(r)
     m = j % (2 * r)
     if m % r == 0:
         return 0, None
@@ -537,8 +547,6 @@ def qint(n: int, r: int) -> CycScalar:
     For 1 <= n < r the table holds t^{2(n-1)} + t^{2(n-3)} + ... +
     t^{-2(n-1)} (no division needed).
     """
-    if r < 2:
-        raise ValueError("qint needs r >= 2")
     sign, idx = index_fold(n, r)
     if not sign:
         return CycScalar.zero(r)
@@ -562,19 +570,17 @@ def gauss_sum(j: int, r: int) -> CycScalar:
     Equals a j-independent constant times [j] t^{j^2}; the constant is
     gauss_sum(1, r) * t^{-1}.
     """
-    if r < 2:
-        raise ValueError("gauss_sum needs r >= 2")
+    check_order(r)
     acc = CycScalar.zero(r)
     for k in range(1, r):
         acc = acc + qint(j * k, r) * qint(k, r) * t_power(r, -k * k)
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed, so a cached 3 does not answer 3.0
 def eta_inverse_square(r: int) -> CycScalar:
     """sum_j [j]^2, the exact inverse square of the S-matrix normalization."""
-    if r < 2:
-        raise ValueError("eta_inverse_square needs r >= 2")
+    check_order(r)
     acc = CycScalar.zero(r)
     for j in range(1, r):
         acc = acc + qint(j, r) * qint(j, r)

@@ -122,19 +122,20 @@ def _referenced_names(path):
     return names
 
 
-@pytest.mark.parametrize(
-    "module", [m for m in MODULES if not hasattr(m, "__all__")], ids=lambda m: m.__name__
-)
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_public_names_have_a_user_elsewhere(module):
-    # without __all__ every public top-level name is an export: each must
+    # the exports, __all__ or else every public top-level name, must each
     # be used by another file of the package, its tests or its benchmark
-    public = set()
-    for node in _syntax_tree(module).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            public.add(node.name)
-        elif isinstance(node, ast.Assign):
-            public.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    public = {name for name in public if not name.startswith("_")}
+    if hasattr(module, "__all__"):
+        public = set(module.__all__)
+    else:
+        public = set()
+        for node in _syntax_tree(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public.add(node.name)
+            elif isinstance(node, ast.Assign):
+                public.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        public = {name for name in public if not name.startswith("_")}
     own = Path(module.__file__).resolve()
     root = own.parents[2]
     used = set()
@@ -184,9 +185,9 @@ def test_defaulted_parameters_are_pinned():
     assert found == DEFAULTED_PARAMETERS
 
 
-# linalg finds the shared powers of t by identity in scalar's id -> exponent
-# map, which is no public API; no other private name crosses modules
-SHARED_PRIVATE_NAMES = {("thetaforge.linalg", "thetaforge.scalar", "_SHARED_ROOT_EXPONENT")}
+# no private name crosses modules: a rule that two modules need has one
+# public owner
+SHARED_PRIVATE_NAMES = set()
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rpartition(".")[2])

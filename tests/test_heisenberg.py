@@ -564,7 +564,7 @@ def test_kept_fourier_product_equals_a_cold_one():
             assert kept.cache_info().hits == hits + 1
             kept.cache_clear()
             assert _parts(warm) == _parts(fourier_word_exact(word, N)), (word, N)
-    # the product kept for N = 4 does not answer N = 4.0, which fails cold
+    # the product kept for N = 4 does not answer N = 4.0, which is refused
     fourier_word_exact([("S", 1)], 4)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="N must be an even integer >= 2, not 4.0"):
         fourier_word_exact([("S", 1)], 4.0)

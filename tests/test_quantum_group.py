@@ -337,11 +337,11 @@ def test_verlinde_numeric_is_the_exact_count(genus, r):
 @pytest.mark.parametrize("graph", [circle_graph(), theta_graph(), dumbbell_graph()])
 @pytest.mark.parametrize("r", [-1, 0, 1])
 def test_admissible_colorings_rejects_small_r(graph, r):
-    with pytest.raises(ValueError, match="r must be >= 2"):
+    with pytest.raises(ValueError, match=f"r must be an integer >= 2, not {r}"):
         admissible_colorings(graph, r)
 
 
 @pytest.mark.parametrize("r", [-1, 0, 1])
 def test_verlinde_numeric_rejects_small_r(r):
-    with pytest.raises(ValueError, match="r must be >= 2"):
+    with pytest.raises(ValueError, match=f"r must be an integer >= 2, not {r}"):
         verlinde_numeric(2, r)

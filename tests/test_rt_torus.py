@@ -675,7 +675,7 @@ def test_kept_word_product_equals_a_cold_one():
             assert s_warm == s_cold and _parts(warm) == _parts(cold), (word, r)
     # the product kept for r = 5 does not answer r = 5.0, which is refused
     rho_word_exact([("S", 1)], 5)
-    with pytest.raises(ValueError, match="integer r >= 2"):
+    with pytest.raises(ValueError, match="r must be an integer >= 2, not 5.0"):
         rho_word_exact([("S", 1)], 5.0)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thetaforge import scalar
 from thetaforge.scalar import (
     DEFAULT_PREC_BITS,
     ComplexAP,
@@ -376,8 +377,8 @@ _ROOT_EXPONENTS = st.one_of(st.integers(-200, -1), st.just(0), st.integers(1, 20
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_times_root_matches_product(data):
-    # r = 2, 4, 8 and 16 rotate with no reduction (phi(4r) = 2r), 15 and 24
-    # reduce modulo Phi_{4r} of several terms
+    # at r = 2, 4, 8 and 16 (phi(4r) = 2r) the reduction after the rotation
+    # leaves it; at 15 and 24 it reduces modulo Phi_{4r} of several terms
     r = data.draw(st.integers(2, 24))
     e = data.draw(st.one_of(_ROOT_EXPONENTS, st.integers(4 * r, 12 * r)))
     phi = euler_phi(4 * r)
@@ -396,6 +397,30 @@ def test_times_root_of_a_shared_root_is_shared(r):
     for f in range(4 * r):
         for e in [0, 1, -1, 2 * r, 4 * r, -4 * r - 1, 10**6 + 3, *(rng.randint(-200, 200) for _ in range(4))]:
             assert t_power(r, f).times_root(e) is t_power(r, f + e), (f, e)
+
+
+@pytest.mark.parametrize("r", [32, 64])
+def test_times_root_matches_product_where_phi_is_2r(r):
+    # past the hypothesis range, where Phi_{4r} = x^{2r} + 1 is the rotation's own modulus
+    rng = random.Random(r)
+    phi = euler_phi(4 * r)
+    assert phi == 2 * r
+    for _ in range(40):
+        e = rng.choice([rng.randint(-200, 200), rng.randint(4 * r, 12 * r)])
+        x = CycScalar(r, [rng.randint(-(2**70), 2**70) for _ in range(phi)], rng.choice([1, rng.randint(2, 2**40)]))
+        want = x * CycScalar(r, t_power(r, e).num)  # no shared t^e: the schoolbook product
+        got = x.times_root(e)
+        assert (got.num, got.den) == (want.num, want.den), e
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 12, 15, 32])
+def test_root_exponent_finds_shared_roots_by_identity(r, monkeypatch):
+    fresh = [CycScalar(r, x.num) for x in t_powers(r)]
+    assert [x.root_exponent() for x in fresh] == list(range(4 * r))
+    # with the coefficient lookup gone, the shared t^e are still found
+    monkeypatch.setattr(scalar, "_root_powers", None)
+    assert [x.root_exponent() for x in t_powers(r)] == list(range(4 * r))
+    assert all(x is not y for x, y in zip(fresh, t_powers(r)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -28,11 +28,17 @@ CASES = [
     ("cyclotomic_index", lambda: cyclotomic_poly(0), ValueError, "positive"),
     ("qint_r1", lambda: qint(1, 1), ValueError, "r >= 2"),
     ("gauss_sum_r1", lambda: gauss_sum(1, 1), ValueError, "r >= 2"),
-    ("index_fold_r1", lambda: index_fold(1, 1), ValueError, "r must be >= 2"),
+    ("index_fold_r1", lambda: index_fold(1, 1), ValueError, "r must be an integer >= 2, not 1"),
     ("eta_inverse_square_r1", lambda: eta_inverse_square(1), ValueError, "r >= 2"),
+    ("qint_float_r", lambda: qint(1, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("index_fold_float_r", lambda: index_fold(1, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("gauss_sum_float_r", lambda: gauss_sum(1, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("eta_inverse_square_float_r", lambda: eta_inverse_square(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("qint_factorial_negative", lambda: qint_factorial(-1, 5), ValueError, "n >= 0"),
     # linalg
     ("mat_mul_empty", lambda: linalg.mat_mul([], [[CycScalar.one(3)]]), ValueError, "non-empty"),
+    ("matrix_order_entries", lambda: linalg.matrix_order([[CycScalar.one(3), 1.0]]), TypeError, "needs CycScalar entries, got float"),
+    ("matrix_order_mixed", lambda: linalg.matrix_order([[CycScalar.one(3)]], [[CycScalar.one(4)]]), ValueError, "mixed cyclotomic"),
     # sl2z
     ("word_matrix_exponent", lambda: word_matrix([("S", 1.5)]), TypeError, "exponent of 'S'"),
     # rt_torus
@@ -57,10 +63,11 @@ CASES = [
     ("f_of_twist_solve_r1", lambda: rt.f_of_twist_solve(1), ValueError, "r >= 2"),
     ("hopf_gram_r1", lambda: rt.hopf_gram(1), ValueError, "r >= 2"),
     # pillowcase
-    ("weyl_cos_r1", lambda: pillowcase.weyl_cos_matrix((1, 0), 1), ValueError, "r must be >= 2"),
-    ("weyl_cos_float_r", lambda: pillowcase.weyl_cos_matrix((1, 0), 3.0), ValueError, "r must be >= 2 and an integer, not 3.0"),
-    ("equivalence_float_r", lambda: pillowcase.equivalence_check(3.0), ValueError, "r must be >= 2 and an integer, not 3.0"),
-    ("svn_float_r", lambda: pillowcase.svn_irreducibility(3.0), ValueError, "r must be >= 2 and an integer, not 3.0"),
+    ("weyl_cos_r1", lambda: pillowcase.weyl_cos_matrix((1, 0), 1), ValueError, "r must be an integer >= 2, not 1"),
+    ("weyl_cos_float_r", lambda: pillowcase.weyl_cos_matrix((1, 0), 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("equivalence_float_r", lambda: pillowcase.equivalence_check(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("svn_float_r", lambda: pillowcase.svn_irreducibility(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("wilson_cos_float_r", lambda: pillowcase.wilson_cos_matrix(1, 0, 2, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("wilson_decompose_dimension", lambda: pillowcase.wilson_decompose(1, 0, -1), ValueError, "dimension"),
     # heisenberg
     ("heis_alg_odd_n", lambda: hz.HeisAlgElt(3), ValueError, "even"),
@@ -70,6 +77,8 @@ CASES = [
     ("algebra_rep_coefficient_order", lambda: hz.algebra_rep(hz.HeisAlgElt(4, {(1, 0): CycScalar.one(5)})), ValueError, "mixed cyclotomic"),
     ("matrix_to_heisenberg_size", lambda: hz.matrix_to_heisenberg([[CycScalar.one(1)]], 2), ValueError, "size"),
     ("matrix_to_heisenberg_entries", lambda: hz.matrix_to_heisenberg([[1, 0], [0, 1]], 2), TypeError, "CycScalar entries"),
+    ("matrix_to_heisenberg_float_entries", lambda: hz.matrix_to_heisenberg([[1.0, 0.0], [0.0, 1.0]], 2), TypeError, "needs CycScalar entries, got float"),
+    ("matrix_to_heisenberg_entry_order", lambda: hz.matrix_to_heisenberg([[CycScalar.one(2)] * 2] * 2, 2), ValueError, "entries of order r=1"),
     ("f_of_t_skein_odd_n", lambda: hz.f_of_t_skein(3), ValueError, "even"),
     ("lagrangian_zero", lambda: hz.LagrangianLine.of(0, 0), ValueError, "nonzero direction"),
     ("fourier_letter", lambda: hz.fourier_word_exact([("X", 1)], 4), ValueError, "unknown generator"),
@@ -78,9 +87,15 @@ CASES = [
     ("fourier_odd_n", lambda: hz.fourier_word_exact([("S", 1)], 3), ValueError, "even"),
     ("fourier_abelian_odd_n", lambda: hz.fourier_abelian([("S", 1)], 5), ValueError, "even"),
     ("t_heis_odd_n", lambda: hz.t_heis(3, 1), ValueError, "even"),
+    ("heis_alg_float_n", lambda: hz.HeisAlgElt(4.0), ValueError, "N must be an even integer >= 2, not 4.0"),
+    ("heis_reduce_float_n", lambda: hz.heis_reduce(hz.HeisElt(1, 2, 3), 4.0), ValueError, "N must be an even integer >= 2, not 4.0"),
+    ("t_heis_float_n", lambda: hz.t_heis(4.0, 1), ValueError, "N must be an even integer >= 2, not 4.0"),
     # quantum_group
     ("d_iso_index", lambda: qg.d_iso(0, 5), ValueError, "k must lie"),
-    ("fusion_level", lambda: qg.FusionElement(1), ValueError, "r must be >= 2"),
+    ("fusion_level", lambda: qg.FusionElement(1), ValueError, "r must be an integer >= 2, not 1"),
+    ("fusion_float_r", lambda: qg.FusionElement(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("admissible_colorings_float_r", lambda: qg.admissible_colorings(qg.theta_graph(), 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("verlinde_float_r", lambda: qg.verlinde_numeric(2, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("fusion_basis_index", lambda: qg.FusionElement.basis(0, 5), ValueError, "out of range"),
     ("fusion_mixed_levels", lambda: qg.FusionElement.one(4) + qg.FusionElement.one(5), ValueError, "mixed levels"),
     ("fusion_chebyshev_index", lambda: qg.fusion_from_chebyshev(-1, 5), ValueError, ">= 0"),
