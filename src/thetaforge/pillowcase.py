@@ -34,6 +34,7 @@ class CosObservable(NamedTuple):
 
 def zeta_fold(j: int, r: int):
     """(sign, index) with zeta_j = sign * zeta_index, index in [1, r-1]."""
+    check_order(r)
     m = j % (2 * r)
     if m == 0 or m == r:
         return 0, None

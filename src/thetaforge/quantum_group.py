@@ -43,15 +43,18 @@ class QGroupRep(NamedTuple):
     K: tuple
 
     def relations_hold(self) -> bool:
-        """All defining relations, K^{4r} = 1, and nilpotency of X and Y."""
+        """All defining relations, K^{4r} = 1, and nilpotency of X and Y.
+
+        K must be diagonal with a power of t at each diagonal entry, which
+        for a diagonal K is K^{4r} = 1; its inverse is then its conjugate.
+        """
         k, r = self.k, self.r
         X, Y, K = self.X, self.Y, self.K
-        ident = linalg.mat_identity(k, CycScalar.one(r))
-        kinv = K  # K^{4r-1}: the inverse of K exactly when K^{4r} = 1
-        for _ in range(4 * r - 2):
-            kinv = linalg.mat_mul(kinv, K)
-        if not linalg.mat_eq(linalg.mat_mul(kinv, K), ident):
+        if any(x for i, row in enumerate(K) for j, x in enumerate(row) if i != j):
             return False
+        if any(K[i][i].root_exponent() is None for i in range(k)):
+            return False
+        kinv = [[x.conjugate() if x else x for x in row] for row in K]
         t2 = t_power(r, 2)
         if not linalg.mat_eq(linalg.mat_mul(K, X), linalg.mat_scale(t2, linalg.mat_mul(X, K))):
             return False
@@ -80,6 +83,7 @@ def _empty(k, r):
 
 def irrep(k: int, r: int) -> QGroupRep:
     """The k-dimensional irreducible V^k, 1 <= k <= r-1."""
+    check_order(r)
     if not 1 <= k <= r - 1:
         raise ValueError(f"k must lie in [1, {r - 1}]")
     X, Y, K = _empty(k, r), _empty(k, r), _empty(k, r)
@@ -101,7 +105,7 @@ def dual_rep(k: int, r: int) -> QGroupRep:
     std = irrep(k, r)
     X = linalg.mat_scale(-t_power(r, 2), list(zip(*std.X)))
     Y = linalg.mat_scale(-t_power(r, -2), list(zip(*std.Y)))
-    K = [[x.inverse() if x else x for x in row] for row in std.K]  # diagonal
+    K = [[x.conjugate() if x else x for x in row] for row in std.K]  # diagonal roots of unity
     return QGroupRep(k, r, _freeze(X), _freeze(Y), _freeze(K))
 
 

@@ -227,6 +227,7 @@ def omega_su2(r: int):
 
 
 def quantum_dimension_vector(r: int):
+    check_order(r)
     return [qint(j, r) for j in range(1, r)]
 
 

@@ -54,8 +54,6 @@ _FRAC_BITS = DEFAULT_PREC_BITS + 16
 # ---------------------------------------------------------------------------
 
 def _poly_mul(a, b):
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -110,7 +108,7 @@ def _reduction_data(m: int):
 
 
 def _reduce_mod_cyclotomic(vec, m):
-    """Reduce an integer coefficient list in place modulo Phi_m."""
+    """Reduce an integer coefficient list of length >= phi(m) in place modulo Phi_m."""
     deg, tail = _reduction_data(m)
     for i in range(len(vec) - 1, deg - 1, -1):
         c = vec[i]
@@ -120,8 +118,6 @@ def _reduce_mod_cyclotomic(vec, m):
             for j, tc in tail:
                 vec[base + j] += c * tc
     del vec[deg:]
-    while len(vec) < deg:
-        vec.append(0)
     return vec
 
 
@@ -212,10 +208,8 @@ class CycScalar:
             other = CycScalar.from_fraction(other, self.r)
         self._check(other)
         da, db = self.den, other.den
-        if da == db:
-            if da == 1:  # a sum of reduced integer vectors is reduced
-                return _from_normalized(self.r, tuple([*map(add, self.num, other.num)]), 1)
-            return CycScalar(self.r, [a + b for a, b in zip(self.num, other.num)], da)
+        if da == db == 1:  # a sum of reduced integer vectors is reduced
+            return _from_normalized(self.r, tuple([*map(add, self.num, other.num)]), 1)
         return CycScalar(
             self.r, [a * db + b * da for a, b in zip(self.num, other.num)], da * db
         )
@@ -226,34 +220,23 @@ class CycScalar:
         return _from_normalized(self.r, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, CycScalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = CycScalar.from_fraction(other, self.r)
-        self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            if da == 1:
+        if isinstance(other, CycScalar):
+            self._check(other)
+            if self.den == other.den == 1:
                 return _from_normalized(self.r, tuple([*map(sub, self.num, other.num)]), 1)
-            return CycScalar(self.r, [a - b for a, b in zip(self.num, other.num)], da)
-        return CycScalar(
-            self.r, [a * db - b * da for a, b in zip(self.num, other.num)], da * db
-        )
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             if not other:
                 return _zero(self.r)
-            return CycScalar(self.r, tuple(c * other for c in self.num), self.den)
-        if isinstance(other, Fraction):
-            return CycScalar(
-                self.r,
-                tuple(c * other.numerator for c in self.num),
-                self.den * other.denominator,
-            )
+            n = other.numerator
+            return CycScalar(self.r, tuple(c * n for c in self.num), self.den * other.denominator)
         if not isinstance(other, CycScalar):
             return NotImplemented
         self._check(other)
@@ -556,6 +539,7 @@ def qint(n: int, r: int) -> CycScalar:
 
 def qint_factorial(n: int, r: int) -> CycScalar:
     """[n]! = [1][2]...[n], with [0]! = 1; ValueError for n < 0."""
+    check_order(r)
     if n < 0:
         raise ValueError("qint_factorial needs n >= 0")
     acc = CycScalar.one(r)
