@@ -229,7 +229,7 @@ class CycScalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)  # NotImplemented for an operand that is not rational
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -5,6 +5,7 @@ import pytest
 from thetaforge import linalg
 from thetaforge.quantum_group import (
     FusionElement,
+    QGroupRep,
     TrivalentGraph,
     admissible_colorings,
     caterpillar_graph,
@@ -51,6 +52,13 @@ def test_all_relations_hold():
         for k in range(1, r):
             assert irrep(k, r).relations_hold(), (k, r, "irrep")
             assert dual_rep(k, r).relations_hold(), (k, r, "dual")
+        # with X = Y = 0 every other relation holds for these K, whose squares
+        # equal the squares of their conjugates; only K^{4r} = 1 rejects them
+        zero, one = CycScalar.zero(r), CycScalar.one(r)
+        unipotent = QGroupRep(2, r, ((zero, zero),) * 2, ((zero, zero),) * 2, ((one, one), (zero, one)))
+        assert not unipotent.relations_hold(), r  # one nonzero off-diagonal entry
+        assert unipotent._replace(K=((one, zero), (zero, one))).relations_hold(), r
+        assert not QGroupRep(1, r, ((zero,),), ((zero,),), ((2 * one,),)).relations_hold(), r
 
 
 @pytest.mark.parametrize(

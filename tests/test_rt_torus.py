@@ -774,6 +774,44 @@ def test_level_solve_matches_rowspan_oracle(r):
         assert skein_from_matrix(m, r) == expected
 
 
+def _level_zero_closed_form(mat, r):
+    """{q: c_q}, c_q nonzero, with sum_q c_q (t^{2qj} + t^{-2qj}) = mat[j-1][j-1], j = 1..r-1.
+
+    (0,1)_T acts on V^j by t^{2j} + t^{-2j}, so S_m((0,1)_T) acts by
+    [(m+1)j]/[j] and d_j [j] = sum_m a_m [(m+1)j] for the coefficients a_m of
+    S_m((0,1)_T), m = 0..r-2: the row (d_j [j])_j is a times the Gram matrix
+    G = hopf_gram(r).  G^2 = sum_k [k]^2 I, so b = (d_j [j])_j G is
+    a times sum_k [k]^2.  S_m = sum_i (0, m-2i)_T over m - 2i >= 0, a (0,0)_T term
+    counting 1/2, so c_q sums a_m over m >= q, m = q mod 2, halved at q = 0.
+    """
+    zero = CycScalar.zero(r)
+    weighted = [mat[j - 1][j - 1] * qint(j, r) for j in range(1, r)]
+    gram = hopf_gram(r)
+    scale = eta_inverse_square(r).inverse()
+    a = [sum((w * row[m] for w, row in zip(weighted, gram)), zero) * scale for m in range(r - 1)]
+    coeffs = {q: sum(a[q::2], zero) for q in range(r - 1)}
+    coeffs[0] = coeffs[0] / 2
+    return {q: c for q, c in coeffs.items() if c}
+
+
+@pytest.mark.parametrize("r", range(2, 17))
+def test_level_zero_matches_its_closed_form(r):
+    # the level-0 solve against the Chebyshev span equals the closed form
+    # through the Gram matrix, on word matrices and on (0, q) skeins
+    rng = random.Random(r)
+    phi = euler_phi(4 * r)
+    mats = [rho_word_exact(random_word(rng, 6), r)[0] for _ in range(3)]
+    for _ in range(2):
+        skein = TorusSkein(r, {
+            (0, q): CycScalar(r, [rng.randint(-9, 9) for _ in range(phi)], rng.randint(1, 12))
+            for q in range(r - 1) if rng.random() < 0.75
+        })
+        mats.append(rt_rep_matrix(skein, r))
+        assert _level_zero_closed_form(mats[-1], r) == {q: c for (_, q), c in skein.terms.items()}
+    for m in mats:
+        assert _level_zero_closed_form(m, r) == rt_torus._solve_level(m, 0, r)
+
+
 @pytest.mark.parametrize("r", range(11, 17))
 def test_newton_level_solve_matches_rowspan(r):
     # each level p >= 1 against a RowSpan solve of its Vandermonde rows

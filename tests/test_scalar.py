@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 import mpmath
 import pytest
@@ -333,6 +334,7 @@ def test_fraction_operands_coerce(x, q):
     assert x + q == x + y == q + x
     assert x - q == x - y
     assert q - x == y - x
+    assert x * q == x * y == q * x
     assert (x == q) == (x == y)
     assert y == q
     assert hash(y) == hash(q)
@@ -347,9 +349,10 @@ def test_fraction_operands_coerce(x, q):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_add_and_sub_match_the_constructor(data):
-    # over den 1 on both sides the sum of the reduced vectors is stored as
-    # it is; other denominators (equal ones whose content cancels among
-    # them) go through the constructor's gcd
+    # over den 1 on both sides the sum or difference of the reduced vectors
+    # is stored as it is; other denominators (equal ones whose content
+    # cancels among them) go through the constructor's gcd, and so does an
+    # int or Fraction operand on either side
     r = data.draw(st.integers(2, 24))
     phi = euler_phi(4 * r)
     dens = st.one_of(st.just(1), st.integers(2, 2**40))
@@ -365,9 +368,30 @@ def test_add_and_sub_match_the_constructor(data):
 
     x = element()
     y = data.draw(st.sampled_from((element(), x, -x, x * 2)))
-    for got, op in ((x + y, int.__add__), (x - y, int.__sub__)):
-        want = CycScalar(r, [op(a * y.den, b * x.den) for a, b in zip(x.num, y.num)], x.den * y.den)
+    q = data.draw(st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=2**40)))
+    qs = CycScalar.from_fraction(q, r)
+    for got, a, op, b in (
+        (x + y, x, add, y), (x - y, x, sub, y),
+        (x + q, x, add, qs), (q + x, qs, add, x), (x - q, x, sub, qs), (q - x, qs, sub, x),
+    ):
+        want = CycScalar(r, [op(u * b.den, v * a.den) for u, v in zip(a.num, b.num)], a.den * b.den)
         assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize(
+    "op, match",
+    [
+        (lambda x: x + 1.5, r"for \+: 'CycScalar' and 'float'"),
+        (lambda x: 1.5 + x, r"for \+: 'float' and 'CycScalar'"),
+        (lambda x: x - 1.5, "for -: 'CycScalar' and 'float'"),
+        (lambda x: 1.5 - x, "for -: 'float' and 'CycScalar'"),
+        (lambda x: x * "a", "can't multiply sequence"),
+    ],
+    ids=["add_float", "radd_float", "sub_float", "rsub_float", "mul_str"],
+)
+def test_operands_that_are_not_rational_raise(op, match):
+    with pytest.raises(TypeError, match=match):
+        op(qint(2, 5) / 3)
 
 
 # exponents below zero, at zero and at or past 4r

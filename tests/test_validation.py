@@ -35,6 +35,7 @@ CASES = [
     ("gauss_sum_float_r", lambda: gauss_sum(1, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("eta_inverse_square_float_r", lambda: eta_inverse_square(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("qint_factorial_negative", lambda: qint_factorial(-1, 5), ValueError, "n >= 0"),
+    ("qint_factorial_float_r", lambda: qint_factorial(2, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     # linalg
     ("mat_mul_empty", lambda: linalg.mat_mul([], [[CycScalar.one(3)]]), ValueError, "non-empty"),
     ("matrix_order_entries", lambda: linalg.matrix_order([[CycScalar.one(3), 1.0]]), TypeError, "needs CycScalar entries, got float"),
@@ -62,12 +63,15 @@ CASES = [
     ("rho_kac_peterson_r1", lambda: rt.rho_kac_peterson(SL2Z(1, 1, 0, 1), 1), ValueError, "r >= 2"),
     ("f_of_twist_solve_r1", lambda: rt.f_of_twist_solve(1), ValueError, "r >= 2"),
     ("hopf_gram_r1", lambda: rt.hopf_gram(1), ValueError, "r >= 2"),
+    ("quantum_dimension_float_r", lambda: rt.quantum_dimension_vector(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("omega_su2_float_r", lambda: rt.omega_su2(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     # pillowcase
     ("weyl_cos_r1", lambda: pillowcase.weyl_cos_matrix((1, 0), 1), ValueError, "r must be an integer >= 2, not 1"),
     ("weyl_cos_float_r", lambda: pillowcase.weyl_cos_matrix((1, 0), 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("equivalence_float_r", lambda: pillowcase.equivalence_check(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("svn_float_r", lambda: pillowcase.svn_irreducibility(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("wilson_cos_float_r", lambda: pillowcase.wilson_cos_matrix(1, 0, 2, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
+    ("zeta_fold_float_r", lambda: pillowcase.zeta_fold(1, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("wilson_decompose_dimension", lambda: pillowcase.wilson_decompose(1, 0, -1), ValueError, "dimension"),
     # heisenberg
     ("heis_alg_odd_n", lambda: hz.HeisAlgElt(3), ValueError, "even"),
@@ -92,6 +96,7 @@ CASES = [
     ("t_heis_float_n", lambda: hz.t_heis(4.0, 1), ValueError, "N must be an even integer >= 2, not 4.0"),
     # quantum_group
     ("d_iso_index", lambda: qg.d_iso(0, 5), ValueError, "k must lie"),
+    ("irrep_float_r", lambda: qg.irrep(2, 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("fusion_level", lambda: qg.FusionElement(1), ValueError, "r must be an integer >= 2, not 1"),
     ("fusion_float_r", lambda: qg.FusionElement(3.0), ValueError, "r must be an integer >= 2, not 3.0"),
     ("admissible_colorings_float_r", lambda: qg.admissible_colorings(qg.theta_graph(), 3.0), ValueError, "r must be an integer >= 2, not 3.0"),
